@@ -43,11 +43,6 @@ class DegreeTable:
         self.ordinary[v] = [0] * len(self.amalgam)
         return v
 
-    def snapshot(self) -> dict:
-        snap = {str(v): list(row) for v, row in sorted(self.ordinary.items())}
-        snap["amalgam"] = list(self.amalgam)
-        return snap
-
 
 @dataclass
 class AmalgamState:

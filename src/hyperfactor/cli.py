@@ -1,9 +1,10 @@
 """Command-line surface: extend, verify, gen, sweep, baranyai.
 
 Exit codes: 0 success; 1 verification failure / generation failure;
-2 inadmissible parameters; 3 bound violation without --force; 4 invalid or
-corrupted input document; 5 coloring stuck in forced mode; 6 internal
-infeasibility (a bug).
+2 inadmissible parameters or a bad argument (argparse's own code, also used
+for a non-integer HYPERFACTOR_SEED); 3 bound violation without --force;
+4 invalid or corrupted input document; 5 coloring stuck in forced mode;
+6 internal infeasibility (a bug).
 """
 from __future__ import annotations
 
@@ -105,13 +106,6 @@ def parse_span(text: str):
     raise ValueError(f"cannot parse span {text!r}")
 
 
-def _default_seed(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -127,7 +121,7 @@ def _stderr_trace(record: dict) -> None:
 def _run_extension(inst: Instance, args, forced_below_bound: bool) -> int:
     trace = _stderr_trace if args.trace else None
     try:
-        cert = extend_instance(inst, seed=_default_seed(args.seed), trace=trace)
+        cert = extend_instance(inst, seed=args.seed, trace=trace)
     except GreedyStuck as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STUCK
@@ -198,9 +192,8 @@ def cmd_gen(args) -> int:
     except (InadmissibleParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    seed = _default_seed(args.seed)
     try:
-        inst = random_instance(params, seed=seed if seed is not None else 0)
+        inst = random_instance(params, seed=args.seed if args.seed is not None else 0)
     except GenerationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -366,6 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    env = os.environ.get(SEED_ENV)
+    if env and "seed" in vars(args) and args.seed is None:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"error: {SEED_ENV}={env!r} is not an integer", file=sys.stderr)
+            return EXIT_INADMISSIBLE
     return args.func(args)
 
 

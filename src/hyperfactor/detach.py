@@ -7,12 +7,16 @@ lambda * C(q-1, i-1) of them to the new vertex, keeping lambda * C(q-1, i)
 The only freedom is how each class's donation distributes over colors:
 an integral transportation problem with row supplies, column demands and
 cell capacities. The fractional point x[c][j] = cap[c][j] * i_c / q always
-satisfies it exactly, so an integral solution exists; it is found by a
-deterministic max-flow and validated independently of the solver.
+satisfies it exactly, so an integral solution exists. An iterative Dinic
+max-flow with one arc per nonzero cell, in a fixed order, finds it. A step
+walks only the live rows (classes with amalgam slots) and their nonzero
+cells, except for the post-step recount of every class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import add, attrgetter, itemgetter
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
@@ -28,12 +32,18 @@ class TransportationProblem:
     its forced donation count, ``demands[j-1]`` the new vertex's target
     degree r_j, and ``caps[c][j-1]`` the copies of that class currently
     colored j. Row supplies and column demands have equal totals.
+    ``cells[c]`` lists the nonzero (j-1, cap) pairs of ``caps[c]`` in order.
     """
 
     rows: list[ClassKey]
     supplies: list[int]
     demands: list[int]
     caps: list[list[int]]
+    cells: list[list[tuple[int, int]]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cells = [list(zip(compress(range(len(row)), row), filter(None, row)))
+                      for row in self.caps]
 
 
 @dataclass
@@ -44,12 +54,22 @@ class DetachPlan:
     moves: list[list[int]]
 
 
+def _require_equal(got: list, want: list, what: str, names=None) -> None:
+    """Raise ``what`` formatted with the first differing position's name and values."""
+    if got != want:
+        j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+        name = j + 1 if names is None else list(names)[j]
+        raise InternalInvariantViolation(what.format(name, got[j], want[j]))
+
+
 def build_transportation(state: AmalgamState) -> TransportationProblem:
     """Set up the donation problem for the next new vertex.
 
     Requires a fully colored state with amalgam degree r_j * q in every
     color. Row supplies are the Pascal-forced lambda * C(q-1, i-1); totals
-    must balance at lambda * C(n-1, h-1) = sum_j r_j.
+    must balance at lambda * C(n-1, h-1) = sum_j r_j. Asserts the exact
+    feasibility witness: the point x[c][j] = caps[c][j] * i_c / q meets
+    every constraint with equality, checked with denominators cleared by q.
     """
     p = state.params
     q = state.weight
@@ -57,156 +77,142 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
         raise InternalInvariantViolation("no amalgam weight left to detach")
     if state.level_done != p.h:
         raise InternalInvariantViolation("detachment before the coloring is complete")
-    for j in range(p.k):
-        if state.degrees.amalgam[j] != p.r[j] * q:
-            raise InternalInvariantViolation(
-                f"amalgam degree {state.degrees.amalgam[j]} in color {j + 1}, "
-                f"expected {p.r[j] * q}")
+    _require_equal(state.degrees.amalgam, [rj * q for rj in p.r],
+                   "amalgam degree {1} in color {0}, expected {2}")
 
-    rows: list[ClassKey] = []
-    supplies: list[int] = []
-    caps: list[list[int]] = []
-    for key in sorted(state.classes):
-        cls = state.classes[key]
-        if cls.amalgam < 1 or cls.total() == 0:
-            continue
-        rows.append(key)
-        supplies.append(p.lam * binom(q - 1, cls.amalgam - 1))
-        caps.append(list(cls.colors))
+    donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
+    classes = state.classes
+    rows = [key for key in sorted(filter(itemgetter(1), classes)) if classes[key].total()]
+    supplies = [donation[key[1]] for key in rows]
+    caps = [list(classes[key].colors) for key in rows]
 
-    total_supply = sum(supplies)
-    total_demand = sum(p.r)
+    total_supply, total_demand = sum(supplies), sum(p.r)
     if total_supply != total_demand or total_demand != p.lam * binom(p.n - 1, p.h - 1):
-        raise InternalInvariantViolation(
-            f"supply {total_supply} != demand {total_demand}")
-    return TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r), caps=caps)
+        raise InternalInvariantViolation(f"supply {total_supply} != demand {total_demand}")
+    tp = TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r), caps=caps)
+
+    col_weighted = [0] * p.k
+    for key, supply, row_caps, cells in zip(rows, supplies, caps, tp.cells):
+        level = key[1]
+        if level > q:
+            raise InternalInvariantViolation(f"class {key} outlived weight {q}")
+        if sum(row_caps) * level != supply * q:
+            raise InternalInvariantViolation(f"witness row sum fails for {key}")
+        for j, cap in cells:
+            col_weighted[j] += level * cap
+    _require_equal(col_weighted, [rj * q for rj in p.r],
+                   "witness column sum fails for color {0}: {1} != {2}")
+    return tp
 
 
-class _Dinic:
-    """Deterministic max-flow on an explicit arc list."""
+def _max_flow(num_nodes: int, tails: list[int], heads: list[int], caps: list[int],
+              source: int, sink: int) -> tuple[int, list[int]]:
+    """Dinic's max-flow; returns the flow value and the residual capacities.
 
-    def __init__(self, num_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Arc 2a runs tails[a] -> heads[a], arc 2a + 1 is its reverse, and every
+    node lists its arcs in that order. The iterative DFS finds the same paths
+    as a recursive one that restarts from the source after each push and
+    moves a node past an arc once it is saturated or leads to a dead end.
+    """
+    to, cap = [0] * (2 * len(heads)), [0] * (2 * len(heads))
+    to[0::2], to[1::2], cap[0::2] = heads, tails, caps
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for a, (u, v) in enumerate(zip(tails, heads)):
+        adj[u].append(2 * a)
+        adj[v].append(2 * a + 1)
 
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
+    flow = 0
+    while True:
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            if level[sink] >= 0:
+                break   # deeper nodes lie on no shortest path
+            for idx in adj[u]:
+                if cap[idx] > 0 and level[to[idx]] < 0:
+                    level[to[idx]] = level[u] + 1
+                    queue.append(to[idx])
+        if level[sink] < 0:
+            return flow, cap
 
-    def max_flow(self, source: int, sink: int) -> int:
-        flow = 0
+        # Per node, its arcs into the next level not yet ruled out, the next
+        # one last; listed on first visit. Pushes only ever empty these arcs.
+        untried: list[list[int] | None] = [None] * num_nodes
+        path: list[int] = []
+        u = source
         while True:
-            level = [-1] * len(self.adj)
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                for idx in self.adj[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[sink] < 0:
-                return flow
-            ptr = [0] * len(self.adj)
-
-            def push(u: int, limit: int) -> int:
-                if u == sink:
-                    return limit
-                while ptr[u] < len(self.adj[u]):
-                    idx = self.adj[u][ptr[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        pushed = push(v, min(limit, self.cap[idx]))
-                        if pushed > 0:
-                            self.cap[idx] -= pushed
-                            self.cap[idx ^ 1] += pushed
-                            return pushed
-                    ptr[u] += 1
-                return 0
-
-            while True:
-                pushed = push(source, 1 << 62)
-                if pushed == 0:
-                    break
+            if u == sink:
+                pushed = min(map(cap.__getitem__, path))
+                for idx in path:
+                    cap[idx] -= pushed
+                    cap[idx ^ 1] += pushed
                 flow += pushed
+                path.clear()
+                u = source
+                continue
+            arcs = untried[u]
+            if arcs is None:
+                arcs = untried[u] = [idx for idx in reversed(adj[u])
+                                     if cap[idx] > 0 and level[to[idx]] == level[u] + 1]
+            while arcs and not (cap[arcs[-1]] and level[to[arcs[-1]]] >= 0):
+                arcs.pop()
+            if arcs:
+                path.append(arcs[-1])
+                u = to[arcs[-1]]
+            elif u == source:
+                break
+            else:
+                level[u] = -1   # a dead end stays one for the rest of the phase
+                u = to[path.pop() ^ 1]
 
 
 def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     """Find an integral matrix with exact row sums, column sums, and caps.
 
     Built as a four-layer flow network source -> rows -> colors -> sink with
-    a fixed arc order, so the plan is deterministic for a given problem.
-    Raises InfeasibleTransport when the max flow falls short, and validates
-    the extracted plan against the constraints afterwards.
+    one arc per nonzero cell in a fixed order, so the plan is deterministic.
+    Raises InfeasibleTransport when the max flow falls short.
     """
-    num_rows = len(tp.rows)
-    k = len(tp.demands)
-    source = 0
+    num_rows, k = len(tp.rows), len(tp.demands)
     sink = 1 + num_rows + k
-    net = _Dinic(sink + 1)
-
-    for c in range(num_rows):
-        net.add_arc(source, 1 + c, tp.supplies[c])
-    cell_arcs: list[list[tuple[int, int]]] = []
-    for c in range(num_rows):
-        arcs = []
-        for j in range(k):
-            if tp.caps[c][j] > 0:
-                arcs.append((j, net.add_arc(1 + c, 1 + num_rows + j, tp.caps[c][j])))
-        cell_arcs.append(arcs)
-    for j in range(k):
-        net.add_arc(1 + num_rows + j, sink, tp.demands[j])
+    tails, heads, caps = [0] * num_rows, list(range(1, 1 + num_rows)), list(tp.supplies)
+    for c, cells in enumerate(tp.cells, start=1):
+        tails += [c] * len(cells)
+        heads += [1 + num_rows + j for j, _ in cells]
+        caps += map(itemgetter(1), cells)
+    tails += range(1 + num_rows, sink)
+    heads += [sink] * k
+    caps += tp.demands
 
     want = sum(tp.supplies)
-    got = net.max_flow(source, sink)
+    got, residual = _max_flow(sink + 1, tails, heads, caps, 0, sink)
     if got != want:
         raise InfeasibleTransport(f"max flow {got} < required {want}", tp)
-
     moves = [[0] * k for _ in range(num_rows)]
-    for c in range(num_rows):
-        for j, idx in cell_arcs[c]:
-            moves[c][j] = tp.caps[c][j] - net.cap[idx]
-
-    for c in range(num_rows):
-        if sum(moves[c]) != tp.supplies[c]:
-            raise InternalInvariantViolation(f"row {tp.rows[c]} sum != supply")
-        if any(moves[c][j] < 0 or moves[c][j] > tp.caps[c][j] for j in range(k)):
-            raise InternalInvariantViolation(f"row {tp.rows[c]} violates a cap")
-    for j in range(k):
-        if sum(moves[c][j] for c in range(num_rows)) != tp.demands[j]:
-            raise InternalInvariantViolation(f"column {j + 1} sum != demand")
+    cell_residual = iter(residual[2 * num_rows::2])
+    for row, cells in zip(moves, tp.cells):
+        for (j, cap), left in zip(cells, cell_residual):
+            row[j] = cap - left
     return DetachPlan(rows=tp.rows, moves=moves)
 
 
-def _check_fractional_witness(state: AmalgamState, tp: TransportationProblem) -> None:
-    """Assert the exact feasibility certificate of the donation problem.
-
-    The point x[c][j] = caps[c][j] * i_c / q meets every constraint with
-    equality; checked here in exact integer arithmetic with denominators
-    cleared by q.
-    """
-    q = state.weight
-    k = len(tp.demands)
-    col_weighted = [0] * k
-    for c, key in enumerate(tp.rows):
-        level = key[1]
-        if level > q:
-            raise InternalInvariantViolation(f"class {key} outlived weight {q}")
-        row_total = sum(tp.caps[c])
-        if row_total * level != tp.supplies[c] * q:
-            raise InternalInvariantViolation(f"witness row sum fails for {key}")
-        for j in range(k):
-            col_weighted[j] += level * tp.caps[c][j]
-    for j in range(k):
-        if col_weighted[j] != tp.demands[j] * q:
-            raise InternalInvariantViolation(f"witness column sum fails for color {j + 1}")
+def _check_plan(tp: TransportationProblem, plan: DetachPlan) -> None:
+    """Check caps, row sums and column sums in one pass over the nonzero cells."""
+    col_sums = [0] * len(tp.demands)
+    for key, supply, cells, moves in zip(tp.rows, tp.supplies, tp.cells, plan.moves):
+        row_sum = 0
+        for j, cap in cells:
+            if not 0 <= moves[j] <= cap:
+                raise InternalInvariantViolation(
+                    f"row {key} moves {moves[j]} copies of color {j + 1}, cap {cap}")
+            row_sum += moves[j]
+            col_sums[j] += moves[j]
+        if sum(moves) != row_sum or min(moves) < 0:   # a zero-cap cell moved
+            raise InternalInvariantViolation(f"row {key} moves copies of a color with cap 0")
+        if row_sum != supply:
+            raise InternalInvariantViolation(f"row {key} sum {row_sum} != supply {supply}")
+    _require_equal(col_sums, tp.demands, "column {0} sum {1} != demand {2}")
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
@@ -219,64 +225,56 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     lambda * C(q - 1, i) copies.
     """
     p = state.params
-    q = state.weight
     tp = build_transportation(state)
-    _check_fractional_witness(state, tp)
     plan = solve_transportation(tp)
+    _check_plan(tp, plan)
     if hook is not None:
         hook(state, tp, plan)
 
     new_vertex = state.degrees.add_vertex()
     new_row = state.degrees.ordinary[new_vertex]
-    for c, key in enumerate(plan.rows):
+    amalgam = state.degrees.amalgam
+    for key, cells, moves in zip(tp.rows, tp.cells, plan.moves):
         cls = state.classes[key]
-        target: EdgeClass | None = None
-        for j, moved in enumerate(plan.moves[c]):
-            if moved == 0:
-                continue
-            if target is None:
-                support = tuple(sorted(key[0] + (new_vertex,)))
-                target = state.get_class(support, key[1] - 1)
-            cls.colors[j] -= moved
-            target.colors[j] += moved
-            new_row[j] += moved
-            state.degrees.amalgam[j] -= moved
+        target: list[int] | None = None
+        for j, _ in cells:
+            moved = moves[j]
+            if moved:
+                if target is None:
+                    support = tuple(sorted(key[0] + (new_vertex,)))
+                    target = state.get_class(support, key[1] - 1).colors
+                cls.colors[j] -= moved
+                target[j] += moved
+                new_row[j] += moved
+                amalgam[j] -= moved
         if cls.total() == 0:
             del state.classes[key]
 
     state.detached += 1
-    q -= 1
-    for j in range(p.k):
-        if new_row[j] != p.r[j]:
-            raise InternalInvariantViolation(
-                f"vertex {new_vertex} has degree {new_row[j]} in color {j + 1}")
-        if state.degrees.amalgam[j] != p.r[j] * q:
-            raise InternalInvariantViolation(
-                f"amalgam degree {state.degrees.amalgam[j]} after step, expected {p.r[j] * q}")
-    for (support, level), cls in state.classes.items():
-        expected = p.lam * binom(q, level)
-        if cls.total() != expected:
-            raise InternalInvariantViolation(
-                f"class {(support, level)} holds {cls.total()} copies, expected {expected}")
+    q = state.weight
+    _require_equal(new_row, list(p.r), f"vertex {new_vertex} has degree {{1}} in color {{0}}")
+    _require_equal(amalgam, [rj * q for rj in p.r],
+                   "amalgam degree {1} in color {0} after step, expected {2}")
+    # Recount every class, finished ones included.
+    classes = state.classes
+    per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
+    totals = list(map(add, map(sum, map(attrgetter("colors"), classes.values())),
+                      map(attrgetter("uncolored"), classes.values())))
+    _require_equal(totals, list(map(per_level.__getitem__, map(itemgetter(1), classes))),
+                   "class {0} holds {1} copies, expected {2}", names=classes)
     return state
 
 
 def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
     """Run every detachment step and assemble the extension certificate."""
-    p = state.params
     while state.weight > 0:
         detach_step(state, hook=hook)
         if trace is not None:
-            trace({
-                "stage": "detach",
-                "s": state.detached,
-                "q": state.weight,
-                "flow_value": p.lam * binom(p.n - 1, p.h - 1),
-            })
+            trace({"stage": "detach", "s": state.detached, "q": state.weight})
 
     coloring = []
     for (support, level), cls in sorted(state.classes.items()):
         if level != 0:
             raise InternalInvariantViolation(f"class {(support, level)} kept amalgam slots")
         coloring.append(EdgeClass(support=support, amalgam=0, colors=list(cls.colors)))
-    return Certificate(params=p, coloring=coloring, report=None)
+    return Certificate(params=state.params, coloring=coloring, report=None)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
+from operator import add
 
 from .combinatorics import binom
 from .errors import SchemaError
@@ -310,9 +311,9 @@ def parse_certificate(text: str) -> Certificate:
 def _edges_payload(coloring: list[EdgeClass]) -> list[dict]:
     merged: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for cls in coloring:
-        counts = merged.setdefault(cls.key(), [0] * len(cls.colors))
-        for j, cnt in enumerate(cls.colors):
-            counts[j] += cnt
+        counts = merged.get(cls.key())
+        merged[cls.key()] = cls.colors if counts is None else list(map(add, counts, cls.colors))
+    labels = [str(j) for j in range(1, max(map(len, merged.values()), default=0) + 1)]
     payload = []
     for (support, alpha), counts in sorted(merged.items()):
         if sum(counts) == 0:
@@ -320,7 +321,7 @@ def _edges_payload(coloring: list[EdgeClass]) -> list[dict]:
         payload.append({
             "support": list(support),
             "alpha": alpha,
-            "colors": {str(j + 1): cnt for j, cnt in enumerate(counts) if cnt},
+            "colors": dict(zip(compress(labels, counts), filter(None, counts))),
         })
     return payload
 

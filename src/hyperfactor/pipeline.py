@@ -2,10 +2,18 @@
 from __future__ import annotations
 
 import random
+import time
 
 from .amalgam import assign_level_h, build_amalgam, finish_levels, greedy_color_level
 from .detach import detach_all
 from .model import Certificate, EdgeClass, Instance, Parameters
+
+
+def _stamped(trace, start: float):
+    """Wrap ``trace`` so each record gains t_ms, the milliseconds since ``start``."""
+    if trace is None:
+        return None
+    return lambda record: trace({**record, "t_ms": round((time.perf_counter() - start) * 1e3, 3)})
 
 
 def extend_instance(inst: Instance, seed: int | None = None,
@@ -16,15 +24,17 @@ def extend_instance(inst: Instance, seed: int | None = None,
     forced top-level quotas, then detaches the n - m new vertices one
     transportation step at a time. ``seed`` shuffles greedy order for
     robustness testing (default fully deterministic); ``trace`` receives one
-    JSON-ready record per level and per detachment step; ``hook`` is called
-    with every transportation problem and plan before it is applied.
+    JSON-ready record per level and per detachment step, each stamped with
+    ``t_ms``, the milliseconds since the call began; ``hook`` is called with
+    every transportation problem and plan before it is applied.
     """
+    trace = _stamped(trace, time.perf_counter())
     state = build_amalgam(inst)
     rng = random.Random(seed) if seed is not None else None
     for level in range(1, inst.params.h):
         greedy_color_level(state, level, rng=rng)
         if trace is not None:
-            trace({"stage": "level", "i": level, "deg": state.degrees.snapshot()})
+            trace({"stage": "level", "i": level})
     table = finish_levels(state)
     assign_level_h(state, table)
     return detach_all(state, trace=trace, hook=hook)

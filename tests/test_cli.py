@@ -112,8 +112,10 @@ class TestTrace:
         assert run_cli(["extend", worked_path, "--trace", "-o", str(out)]) == 0
         lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [r["stage"] for r in lines] == ["level", "detach", "detach"]
-        assert lines[0]["i"] == 1 and "deg" in lines[0]
-        assert lines[1]["s"] == 1 and lines[1]["q"] == 1 and lines[1]["flow_value"] == 3
+        assert lines[0].keys() == {"stage", "i", "t_ms"} and lines[0]["i"] == 1
+        assert lines[1] == {"stage": "detach", "s": 1, "q": 1, "t_ms": lines[1]["t_ms"]}
+        stamps = [r["t_ms"] for r in lines]
+        assert stamps == sorted(stamps) and stamps[0] >= 0
 
 
 class TestDeterminism:
@@ -143,6 +145,18 @@ class TestDeterminism:
         run_cli(["gen", "--n", "6", "--m", "3", "--h", "2", "--r", "ones",
                  "--seed", "77", "-o", str(out2)])
         assert out1.read_text() == out2.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "6", "--m", "3", "--h", "2"],
+        ["extend", "WORKED"],
+        ["baranyai", "--n", "6", "--h", "2"],
+    ])
+    def test_bad_env_seed_exits_2(self, argv, worked_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        argv = [worked_path if arg == "WORKED" else arg for arg in argv]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cli.SEED_ENV in err[0]
 
 
 class TestGen:

@@ -9,13 +9,14 @@ import pytest
 from hyperfactor.amalgam import assign_level_h, build_amalgam, finish_levels, greedy_color_level
 from hyperfactor.combinatorics import binom
 from hyperfactor.detach import (
+    DetachPlan,
     TransportationProblem,
     build_transportation,
     detach_all,
     detach_step,
     solve_transportation,
 )
-from hyperfactor.errors import InfeasibleTransport
+from hyperfactor.errors import InfeasibleTransport, InternalInvariantViolation
 from hyperfactor.generate import random_instance
 from hyperfactor.model import Parameters
 from hyperfactor.verify import verify_certificate
@@ -107,6 +108,20 @@ class TestSolveTransportation:
         with pytest.raises(InfeasibleTransport):
             solve_transportation(tp)
 
+    def test_reverse_arc_augmentation(self):
+        # The first blocking flow fills color 1 from rows 0 and 1, which
+        # leaves row 2 (color 1 only) stuck; the second phase reroutes row 0
+        # through the reverse arc of its color-1 cell.
+        tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
+                                   supplies=[2, 1, 1], demands=[2, 1, 1],
+                                   caps=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+        assert solve_transportation(tp).moves == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+
+    def test_cells_list_nonzero_caps_in_color_order(self):
+        tp = TransportationProblem(rows=[((), 1), ((), 2)], supplies=[1, 1], demands=[1, 1],
+                                   caps=[[0, 2, 0, 1], [0, 0, 0, 0]])
+        assert tp.cells == [[(1, 2), (3, 1)], []]
+
     def test_deterministic(self, worked_instance):
         plans = []
         for _ in range(3):
@@ -147,6 +162,32 @@ class TestDetachStep:
             assert state.degrees.ordinary[3 + step] == [2, 2, 1, 1, 1]
 
 
+class TestStepChecks:
+    """Every step validates the plan it is given and recounts every class."""
+
+    # The worked example's first step has caps [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
+    # and unit supplies and demands.
+    @pytest.mark.parametrize("moves, message", [
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "cap"),             # sums kept, caps broken
+        ([[1, 0, 0], [0, 1, 1], [0, 0, 0]], "supply"),          # only row sums broken
+        ([[1, 0, 0], [0, 1, 0], [0, 1, 0]], "column 2 sum 2"),  # only column sums broken
+    ])
+    def test_bad_plan_is_rejected(self, worked_instance, monkeypatch, moves, message):
+        from hyperfactor import detach
+        monkeypatch.setattr(detach, "solve_transportation",
+                            lambda tp: DetachPlan(rows=tp.rows, moves=moves))
+        with pytest.raises(InternalInvariantViolation, match=message):
+            detach_step(ready_state(worked_instance))
+
+    def test_recount_covers_untouched_classes(self, worked_instance):
+        def add_copy(state, tp, plan):
+            untouched = next(cls for key, cls in state.classes.items() if key[1] == 0)
+            untouched.colors[0] += 1
+
+        with pytest.raises(InternalInvariantViolation, match=r"class \(\(1, 2\), 0\) holds 2"):
+            detach_step(ready_state(worked_instance), hook=add_copy)
+
+
 class TestDetachAll:
     def test_worked_example_certificate(self, worked_instance):
         state = ready_state(worked_instance)
@@ -185,4 +226,4 @@ class TestDetachAll:
         assert [r["stage"] for r in records] == ["detach", "detach"]
         assert [r["s"] for r in records] == [1, 2]
         assert [r["q"] for r in records] == [1, 0]
-        assert all(r["flow_value"] == 3 for r in records)
+        assert all(r.keys() == {"stage", "s", "q"} for r in records)

@@ -1,12 +1,20 @@
 """End-to-end pipeline tests and trace format checks."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from hyperfactor.combinatorics import binom, bound_holds
 from hyperfactor.errors import GreedyStuck, NegativeTopLevelQuota
 from hyperfactor.generate import random_instance
-from hyperfactor.model import Instance, Parameters, parse_instance, validate_instance
+from hyperfactor.model import (
+    Instance,
+    Parameters,
+    parse_instance,
+    serialize_certificate,
+    validate_instance,
+)
 from hyperfactor.pipeline import extend_instance, single_edge_instance
 from hyperfactor.verify import verify_certificate
 
@@ -44,10 +52,10 @@ class TestExtendInstance:
         extend_instance(worked_instance, trace=records.append)
         stages = [r["stage"] for r in records]
         assert stages == ["level", "detach", "detach"]
-        level = records[0]
-        assert level["i"] == 1
-        assert level["deg"]["1"] == [1, 1, 1]
-        assert level["deg"]["amalgam"] == [0, 2, 2]   # one slot per level-1 copy
+        assert records[0].keys() == {"stage", "i", "t_ms"} and records[0]["i"] == 1
+        assert all(r.keys() == {"stage", "s", "q", "t_ms"} for r in records[1:])
+        stamps = [r["t_ms"] for r in records]
+        assert stamps == sorted(stamps) and stamps[0] >= 0
 
     def test_greedy_stuck_below_bound(self):
         inst = parse_instance(STUCK_DOC)
@@ -137,3 +145,31 @@ class TestSingleEdgeInstance:
     def test_requires_m_equals_h(self):
         with pytest.raises(ValueError):
             single_edge_instance(Parameters(n=6, m=3, h=2, lam=1, r=(1,) * 5))
+
+
+def _ones(n, m, h, lam):
+    return Parameters(n=n, m=m, h=h, lam=lam, r=(1,) * (lam * binom(n - 1, h - 1)))
+
+
+# sha256 of the verified certificate of random_instance(params, seed) extended
+# with the same seed; any change to a plan or to the serialization shows here.
+GOLDEN_CERTIFICATES = [
+    (_ones(12, 4, 2, 1), 0, "f0299643e4fd6d45a7eb52c5f6c852764b5266588ed1c24821b6c80d13498730"),
+    (_ones(12, 4, 2, 1), 1, "edc87260f9c74ec4baf08a4a0e65f90f4e4696e96616cf09de29da7b79d2b9e3"),
+    (Parameters(n=8, m=3, h=2, lam=1, r=(2, 2, 1, 1, 1)), 0,
+     "923adf07de9a6ef9c791040e9a45bcd107de22359ac8b005a53c053a523fe9f2"),
+    (Parameters(n=8, m=3, h=2, lam=1, r=(2, 2, 1, 1, 1)), 1,
+     "6c38b5beb6f55344eb02e74a8394109ae307c20a46f24d3f88ec3a3a382c7bf9"),
+    (_ones(12, 3, 3, 1), 0, "f955b1f0efc8832b4b5ff7207223e20b2e1e247fa70a600a2c8ad2df780e0f8e"),
+    (_ones(12, 3, 3, 1), 1, "c40f8c5b0f51a5a17b9b2656e001b4d6deb7cea93de3e7509d016ddaf49c05f4"),
+    (_ones(15, 4, 3, 2), 0, "447ee229c2910c4dfc704c3fb7fa0605c43931a1d34288ebd1779a86ad5e8944"),
+    (_ones(15, 4, 3, 2), 1, "1343da7fa43c43acd50a8bf30a0cb7d0fe56cad5a5d1d7571f4f621d0a6acc38"),
+]
+
+
+@pytest.mark.parametrize("params, seed, digest", GOLDEN_CERTIFICATES)
+def test_golden_certificate_bytes(params, seed, digest):
+    inst = random_instance(params, seed=seed)
+    cert = extend_instance(inst, seed=seed)
+    cert.report = verify_certificate(cert, inst).to_json()
+    assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() == digest
