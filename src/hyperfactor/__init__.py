@@ -14,6 +14,8 @@ from .combinatorics import (
     vandermonde_sum,
 )
 from .errors import (
+    BadArgument,
+    BelowBound,
     GenerationFailed,
     GreedyStuck,
     HyperfactorError,
@@ -24,6 +26,7 @@ from .errors import (
     NegativeTopLevelQuota,
     NonIntegerColorQuota,
     SchemaError,
+    TooLarge,
 )
 from .model import (
     Certificate,
@@ -54,5 +57,6 @@ __all__ = [
     "HyperfactorError", "SchemaError", "InadmissibleParameters", "InvalidInstance",
     "GreedyStuck", "NegativeTopLevelQuota", "NonIntegerColorQuota",
     "InfeasibleTransport", "InternalInvariantViolation", "GenerationFailed",
+    "TooLarge", "BelowBound", "BadArgument",
     "__version__",
 ]

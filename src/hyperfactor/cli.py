@@ -1,10 +1,8 @@
 """Command-line surface: extend, verify, gen, sweep, baranyai.
 
-Exit codes: 0 success; 1 verification failure / generation failure;
-2 inadmissible parameters or a bad argument (argparse's own code, also used
-for a non-integer HYPERFACTOR_SEED); 3 bound violation without --force;
-4 invalid or corrupted input document; 5 coloring stuck in forced mode;
-6 internal infeasibility (a bug).
+Exit codes: 0 success, 1 a certificate failed verification, 2 a bad argument
+(argparse's own code); every other code comes from the error that ended the
+command, by the table in ``errors.py``.
 """
 from __future__ import annotations
 
@@ -17,40 +15,31 @@ import os
 import re
 import sys
 import time
+import traceback
 
 from .combinatorics import binom, bound_holds
 from .errors import (
-    GenerationFailed,
-    GreedyStuck,
+    BadArgument,
+    BelowBound,
     HyperfactorError,
     InadmissibleParameters,
-    InfeasibleTransport,
     InternalInvariantViolation,
     NegativeTopLevelQuota,
-    NonIntegerColorQuota,
     SchemaError,
 )
 from .generate import random_instance
 from .model import (
     Instance,
     Parameters,
+    check_size,
     is_admissible,
     parse_certificate,
     parse_instance,
     serialize_certificate,
     serialize_instance,
-    validate_instance,
 )
 from .pipeline import extend_instance, single_edge_instance
 from .verify import verify_certificate
-
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_INADMISSIBLE = 2
-EXIT_BOUND = 3
-EXIT_BAD_INPUT = 4
-EXIT_STUCK = 5
-EXIT_INTERNAL = 6
 
 SEED_ENV = "HYPERFACTOR_SEED"
 
@@ -63,19 +52,23 @@ def build_r_vector(pattern: str, n: int, h: int, lam: int) -> tuple[int, ...]:
 
     'ones' and 'uniform:R' size the vector so the degrees sum to
     lambda * C(n-1, h-1); a non-dividing uniform degree is inadmissible.
+    Raises TooLarge before it computes or expands a vector too large to use.
     """
+    check_size(n, h, 1)   # bounds C(n, h), so the binomial below is cheap
     total = lam * binom(n - 1, h - 1)
     if pattern == "ones":
-        return (1,) * total
-    if pattern.startswith("uniform:"):
+        degree = 1
+    elif pattern.startswith("uniform:"):
         degree = int(pattern.split(":", 1)[1])
         if degree < 1 or total % degree != 0:
             raise InadmissibleParameters(f"uniform degree {degree} does not divide {total}")
-        return (degree,) * (total // degree)
-    try:
-        return tuple(int(x) for x in pattern.split(","))
-    except ValueError:
-        raise InadmissibleParameters(f"cannot parse r pattern {pattern!r}") from None
+    else:
+        try:
+            return tuple(int(x) for x in pattern.split(","))
+        except ValueError:
+            raise InadmissibleParameters(f"cannot parse r pattern {pattern!r}") from None
+    check_size(n, h, total // degree)
+    return (degree,) * (total // degree)
 
 
 def _parse_linear(text: str) -> tuple[int, int]:
@@ -118,112 +111,83 @@ def _stderr_trace(record: dict) -> None:
     sys.stderr.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _read(path: str) -> str:
+    """The text of the file at ``path``; an unreadable or non-UTF-8 file is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read: {exc}", path) from None
+
+
+def _parameters(n: int, m: int, h: int, lam: int, r_pattern: str) -> Parameters:
+    """Parameters from command-line values; a malformed value is inadmissible."""
+    try:
+        return Parameters(n=n, m=m, h=h, lam=lam, r=build_r_vector(r_pattern, n, h, lam))
+    except ValueError as exc:
+        raise InadmissibleParameters(str(exc)) from None
+
+
+def _check_hypotheses(p: Parameters, force: bool) -> bool:
+    """Require admissibility, then the bound unless ``force``; True if below the bound."""
+    if not is_admissible(p):
+        raise InadmissibleParameters("parameters are inadmissible")
+    below_bound = not bound_holds(p.n, p.m, p.h)
+    if below_bound and not force:
+        raise BelowBound(f"n={p.n} is below the extension bound for m={p.m}, h={p.h}; "
+                         "pass --force for a best-effort attempt")
+    return below_bound
+
+
 def _run_extension(inst: Instance, args, forced_below_bound: bool) -> int:
+    """Extend, verify and write the certificate; a failed verification is a bug."""
     trace = _stderr_trace if args.trace else None
     try:
         cert = extend_instance(inst, seed=args.seed, trace=trace)
-    except GreedyStuck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STUCK
     except NegativeTopLevelQuota as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STUCK if forced_below_bound else EXIT_INTERNAL
-    except (InfeasibleTransport, InternalInvariantViolation, NonIntegerColorQuota) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if forced_below_bound:
+            raise
+        raise InternalInvariantViolation(str(exc)) from exc   # impossible above the bound
 
     report = verify_certificate(cert, inst)
     cert.report = report.to_json()
     if not report.ok:
-        print("error: produced certificate failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise InternalInvariantViolation("produced certificate failed verification")
     _write_output(serialize_certificate(cert), args.output)
-    return EXIT_OK
+    return 0
 
 
 def cmd_extend(args) -> int:
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    p = inst.params
-    if not is_admissible(p):
-        print("error: parameters are inadmissible", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    below_bound = not bound_holds(p.n, p.m, p.h)
-    if below_bound and not args.force:
-        print(f"error: n={p.n} is below the extension bound for m={p.m}, h={p.h}; "
-              "pass --force for a best-effort attempt", file=sys.stderr)
-        return EXIT_BOUND
-    report = validate_instance(inst)
-    if not report.ok:
-        first = report.issues[0]
-        print(f"error: invalid coloring: {first.kind}: {first.detail}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    return _run_extension(inst, args, forced_below_bound=below_bound)
+    inst = parse_instance(_read(args.instance))
+    return _run_extension(inst, args, _check_hypotheses(inst.params, args.force))
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cert = parse_certificate(fh.read())
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    cert = parse_certificate(_read(args.certificate))
+    inst = parse_instance(_read(args.instance))
     report = verify_certificate(cert, inst)
     sys.stdout.write(json.dumps(report.to_json(), separators=(",", ":")) + "\n")
-    return EXIT_OK if report.ok else EXIT_FAIL
+    return 0 if report.ok else 1
 
 
 def cmd_gen(args) -> int:
-    try:
-        r = build_r_vector(args.r, args.n, args.h, args.lam)
-        params = Parameters(n=args.n, m=args.m, h=args.h, lam=args.lam, r=r)
-        if not is_admissible(params):
-            raise InadmissibleParameters("parameters fail the admissibility conditions")
-    except (InadmissibleParameters, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    try:
-        inst = random_instance(params, seed=args.seed if args.seed is not None else 0)
-    except GenerationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    params = _parameters(args.n, args.m, args.h, args.lam, args.r)
+    inst = random_instance(params, seed=args.seed if args.seed is not None else 0)
     _write_output(serialize_instance(inst), args.output)
-    return EXIT_OK
+    return 0
 
 
 def cmd_baranyai(args) -> int:
-    try:
-        r = build_r_vector(args.r, args.n, args.h, args.lam)
-        params = Parameters(n=args.n, m=args.h, h=args.h, lam=args.lam, r=r)
-        if not is_admissible(params):
-            raise InadmissibleParameters("parameters fail the admissibility conditions")
-    except (InadmissibleParameters, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    below_bound = not bound_holds(params.n, params.h, params.h)
-    if below_bound and not args.force:
-        print(f"error: n={params.n} is below the from-scratch bound for h={params.h}",
-              file=sys.stderr)
-        return EXIT_BOUND
-    inst = single_edge_instance(params)
-    return _run_extension(inst, args, forced_below_bound=below_bound)
+    params = _parameters(args.n, args.h, args.h, args.lam, args.r)
+    below_bound = _check_hypotheses(params, args.force)
+    return _run_extension(single_edge_instance(params), args, below_bound)
 
 
 def run_sweep_cell(cell: tuple) -> dict:
     """One sweep cell, independent and pure; safe for worker pools."""
     h, m, n, lam, r_pattern, seed, force = cell
     row = {"h": h, "m": m, "n": n, "lambda": lam, "r_pattern": r_pattern,
-           "seed": seed, "admissible": "", "bound": "", "outcome": "",
+           "seed": seed, "admissible": False, "bound": "", "outcome": "",
            "verified": "", "millis": 0}
     start = time.perf_counter()
 
@@ -233,52 +197,33 @@ def run_sweep_cell(cell: tuple) -> dict:
         return row
 
     try:
-        r = build_r_vector(r_pattern, n, h, lam)
-        params = Parameters(n=n, m=m, h=h, lam=lam, r=r)
-    except (InadmissibleParameters, ValueError):
-        row["admissible"] = False
-        return done("inadmissible")
-    row["admissible"] = is_admissible(params)
-    row["bound"] = bound_holds(n, m, h)
-    if not row["admissible"]:
-        return done("inadmissible")
-    if not row["bound"] and not force:
-        return done("below_bound")
-    try:
+        params = _parameters(n, m, h, lam, r_pattern)
+        row["admissible"] = is_admissible(params)
+        row["bound"] = bound_holds(n, m, h)
+        _check_hypotheses(params, force)
         inst = random_instance(params, seed=seed)
-    except GenerationFailed:
-        return done("gen_failed")
-    try:
         cert = extend_instance(inst, seed=seed)
-    except GreedyStuck:
-        return done("greedy_stuck")
-    except NegativeTopLevelQuota:
-        return done("negative_quota")
-    except InfeasibleTransport:
-        return done("infeasible")
-    except HyperfactorError:
-        return done("error")
-    row["verified"] = verify_certificate(cert, inst).ok
+        row["verified"] = verify_certificate(cert, inst).ok
+    except HyperfactorError as exc:
+        return done(exc.outcome)
+    except Exception as exc:   # a bug: record where it struck and keep the other rows
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        row["crash"] = f"{cell}: {type(exc).__name__}: {exc} at {where.filename}:{where.lineno}"
+        return done("crash")
     return done("ok")
 
 
 def cmd_sweep(args) -> int:
     try:
-        h_values = parse_span(args.h)(0)
-        m_span = parse_span(args.m)
-        n_span = parse_span(args.n)
-        lam_values = parse_span(args.lam)(0)
+        h_values, m_span, n_span, lam_values = map(parse_span, (args.h, args.m, args.n, args.lam))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    seeds = list(range(args.seeds))
-
+        raise SchemaError(str(exc), "sweep grid") from None
     cells = [(h, m, n, lam, args.r, seed, args.force)
-             for h in h_values
+             for h in h_values(0)
              for m in m_span(0)
              for n in n_span(m)
-             for lam in lam_values
-             for seed in seeds]
+             for lam in lam_values(0)
+             for seed in range(args.seeds)]
 
     if args.jobs > 1 and cells:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -287,18 +232,16 @@ def cmd_sweep(args) -> int:
         rows = [run_sweep_cell(cell) for cell in cells]
 
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, extrasaction="ignore")
     writer.writeheader()
     for row in rows:
-        rendered = {}
-        for key in CSV_COLUMNS:
-            value = row.get(key, "")
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            rendered[key] = value
-        writer.writerow(rendered)
+        writer.writerow({key: ("true" if value else "false") if isinstance(value, bool) else value
+                         for key, value in row.items()})
     _write_output(buffer.getvalue(), args.output)
-    return EXIT_OK
+    crashed = [row["crash"] for row in rows if row["outcome"] == "crash"]
+    if crashed:
+        raise InternalInvariantViolation(f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,15 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a HyperfactorError ends it with one line and its exit code."""
     args = build_parser().parse_args(argv)
     env = os.environ.get(SEED_ENV)
-    if env and "seed" in vars(args) and args.seed is None:
-        try:
-            args.seed = int(env)
-        except ValueError:
-            print(f"error: {SEED_ENV}={env!r} is not an integer", file=sys.stderr)
-            return EXIT_INADMISSIBLE
-    return args.func(args)
+    try:
+        if env and "seed" in vars(args) and args.seed is None:
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise BadArgument(f"{SEED_ENV}={env!r} is not an integer") from None
+        return args.func(args)
+    except HyperfactorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def run() -> None:

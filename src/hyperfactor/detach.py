@@ -66,8 +66,9 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     """Set up the donation problem for the next new vertex.
 
     Requires a fully colored state with amalgam degree r_j * q in every
-    color. Row supplies are the Pascal-forced lambda * C(q-1, i-1); totals
-    must balance at lambda * C(n-1, h-1) = sum_j r_j. Asserts the exact
+    color (``assign_level_h`` and each ``detach_step`` end by checking it).
+    Row supplies are the Pascal-forced lambda * C(q-1, i-1); totals must
+    balance at lambda * C(n-1, h-1) = sum_j r_j. Asserts the exact
     feasibility witness: the point x[c][j] = caps[c][j] * i_c / q meets
     every constraint with equality, checked with denominators cleared by q.
     """
@@ -77,8 +78,6 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
         raise InternalInvariantViolation("no amalgam weight left to detach")
     if state.level_done != p.h:
         raise InternalInvariantViolation("detachment before the coloring is complete")
-    _require_equal(state.degrees.amalgam, [rj * q for rj in p.r],
-                   "amalgam degree {1} in color {0}, expected {2}")
 
     donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     classes = state.classes
@@ -252,7 +251,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
 
     state.detached += 1
     q = state.weight
-    _require_equal(new_row, list(p.r), f"vertex {new_vertex} has degree {{1}} in color {{0}}")
+    # The new vertex's degrees are the plan's column sums, fixed by _check_plan.
     _require_equal(amalgam, [rj * q for rj in p.r],
                    "amalgam degree {1} in color {0} after step, expected {2}")
     # Recount every class, finished ones included.

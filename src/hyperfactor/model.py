@@ -12,7 +12,12 @@ from itertools import combinations, compress
 from operator import add
 
 from .combinatorics import binom
-from .errors import SchemaError
+from .errors import SchemaError, TooLarge
+
+# Cap on the dense state size C(n, h) * (k + 8): list slots of about 8 bytes
+# each, the 8 standing for one class's own overhead. The largest benchmark
+# workload (h=3, n=33, k=496) needs 2.75 M.
+MAX_STATE_SLOTS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -21,7 +26,8 @@ class Parameters:
 
     Invariants: 2 <= h <= m < n, lam >= 1, and every target degree r_j >= 1.
     A zero target degree would be an empty color class; callers should drop
-    it rather than carry it through the divisibility checks.
+    it rather than carry it through the divisibility checks. Parameters whose
+    dense state would not fit in memory raise TooLarge (see ``check_size``).
     """
 
     n: int
@@ -40,10 +46,25 @@ class Parameters:
         if any(rj < 1 for rj in self.r):
             raise ValueError(f"target degrees must be >= 1, got {self.r}")
         object.__setattr__(self, "r", tuple(self.r))
+        check_size(self.n, self.h, self.k)
 
     @property
     def k(self) -> int:
         return len(self.r)
+
+
+def check_size(n: int, h: int, k: int) -> None:
+    """Raise TooLarge if the dense state, C(n, h) * (k + 8) slots, tops MAX_STATE_SLOTS.
+
+    C(n, h) is built one factor at a time, and the count stops once past the
+    cap, so even astronomically large n and h are rejected at once.
+    """
+    size = k + 8
+    for i in range(min(h, n - h)):
+        size = size * (n - i) // (i + 1)
+        if size > MAX_STATE_SLOTS:
+            raise TooLarge(f"n={n}, h={h}, k={k}: C(n,h) * (k + 8) exceeds the state "
+                           f"limit of {MAX_STATE_SLOTS} slots")
 
 
 @dataclass
@@ -276,7 +297,7 @@ def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeCla
 def _parse_document(text: str, keys: tuple[str, ...]) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad syntax, digits or nesting
         raise SchemaError(f"not valid JSON: {exc}", "$") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object", "$")

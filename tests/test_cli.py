@@ -6,10 +6,11 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperfactor import cli
+from hyperfactor import cli, errors
 from hyperfactor.combinatorics import binom
-from hyperfactor.errors import InfeasibleTransport
+from hyperfactor.errors import HyperfactorError, InfeasibleTransport
 from hyperfactor.model import parse_certificate
 from test_pipeline import STUCK_DOC
 
@@ -66,13 +67,20 @@ class TestExitCodes:
         out = tmp_path / "cert.json"
         assert run_cli(["extend", str(path), "--force", "-o", str(out)]) == 0
 
-    def test_exit_4_on_corrupted_document(self, tmp_path):
+    def test_exit_4_on_corrupted_document(self, tmp_path, worked_path, capsys):
         path = tmp_path / "corrupt.json"
         path.write_text("{definitely not json")
         assert run_cli(["extend", str(path)]) == 4
         path.write_text(WORKED_DOC.replace("[1,2]", "[0,2]"))
         assert run_cli(["extend", str(path)]) == 4
         assert run_cli(["extend", str(tmp_path / "missing.json")]) == 4
+        capsys.readouterr()
+        for data in (b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000):   # not UTF-8; too deep
+            path.write_bytes(data)
+            for argv in (["extend", str(path)], ["verify", str(path), worked_path]):
+                assert run_cli(argv) == 4
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error:")
 
     def test_exit_4_on_invalid_coloring(self, tmp_path):
         doc = json.loads(WORKED_DOC)
@@ -104,6 +112,87 @@ class TestExitCodes:
 
         monkeypatch.setattr(detach, "solve_transportation", broken)
         assert run_cli(["extend", worked_path]) == 6
+
+
+class TestErrorMap:
+    TABLE = {
+        errors.HyperfactorError: (6, "error"),
+        errors.SchemaError: (4, "error"),
+        errors.InadmissibleParameters: (2, "inadmissible"),
+        errors.TooLarge: (2, "too_large"),
+        errors.BadArgument: (2, "error"),
+        errors.BelowBound: (3, "below_bound"),
+        errors.InvalidInstance: (4, "error"),
+        errors.GreedyStuck: (5, "greedy_stuck"),
+        errors.NegativeTopLevelQuota: (5, "negative_quota"),
+        errors.NonIntegerColorQuota: (6, "error"),
+        errors.InfeasibleTransport: (6, "infeasible"),
+        errors.InternalInvariantViolation: (6, "error"),
+        errors.GenerationFailed: (1, "gen_failed"),
+    }
+
+    def test_every_error_has_its_code_and_outcome(self):
+        assert set(HyperfactorError.__subclasses__()) | {HyperfactorError} == set(self.TABLE)
+        for cls, pair in self.TABLE.items():
+            assert (cls.exit_code, cls.outcome) == pair, cls.__name__
+
+
+@st.composite
+def damaged(draw, text: str) -> bytes:
+    """``text`` as UTF-8, truncated or with up to three bytes overwritten."""
+    data = bytearray(text.encode())
+    if draw(st.booleans()):
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestMalformedInput:
+    @pytest.fixture(scope="class")
+    def worked_cert(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("worked")
+        (root / "inst.json").write_text(WORKED_DOC)
+        assert run_cli(["extend", str(root / "inst.json"), "-o", str(root / "cert.json")]) == 0
+        return (root / "cert.json").read_text()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_documents_end_in_an_exit_code(self, data, worked_cert, worked_path,
+                                                   tmp_path):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        good_cert = tmp_path / "good_cert.json"
+        inst.write_bytes(data.draw(damaged(WORKED_DOC)))
+        cert.write_bytes(data.draw(damaged(worked_cert)))
+        good_cert.write_text(worked_cert)
+        for argv in (["extend", str(inst), "-o", str(tmp_path / "out.json")],
+                     ["verify", str(good_cert), str(inst)],
+                     ["verify", str(cert), worked_path]):
+            assert run_cli(argv) in range(7)
+
+
+class TestSizeLimit:
+    # C(81, 3) * (3240 + 8) slots is over five times the limit; n = m + 1 is
+    # below the bound, so only --force gets as far as enumerating the input.
+    BIG = {"n": 81, "m": 80, "h": 3, "lambda": 1, "r": [1] * binom(80, 2), "edges": []}
+
+    def test_baranyai_exits_2(self, capsys):
+        assert run_cli(["baranyai", "--n", "1000", "--h", "40", "--r", "ones"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "limit" in err[0]
+
+    def test_sweep_cell_too_large(self, capsys):
+        assert run_cli(["sweep", "--h", "40", "--m", "40", "--n", "1000"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["outcome"] for row in rows] == ["too_large"]
+
+    def test_forced_extend_and_verify_exit_2(self, tmp_path):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        inst.write_text(json.dumps(self.BIG))
+        cert.write_text(json.dumps({**self.BIG, "report": {}}))
+        assert run_cli(["extend", "--force", str(inst)]) == 2
+        assert run_cli(["verify", str(cert), str(inst)]) == 2
 
 
 class TestTrace:
@@ -199,6 +288,24 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows[0]["bound"] == "false"
         assert rows[0]["outcome"] in ("ok", "greedy_stuck", "negative_quota")
+
+    def test_crashed_cell_keeps_the_other_rows(self, monkeypatch, capsys):
+        real = cli.extend_instance
+
+        def crash_at_n6(inst, seed=None):
+            if inst.params.n == 6:
+                raise RuntimeError("injected")
+            return real(inst, seed=seed)
+
+        monkeypatch.setattr(cli, "extend_instance", crash_at_n6)
+        assert run_cli(["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2"]) == 6
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(row["n"], row["outcome"]) for row in rows] == [
+            ("4", "ok"), ("5", "inadmissible"), ("6", "crash"),
+            ("6", "crash"), ("7", "inadmissible"), ("8", "ok")]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "RuntimeError: injected" in err[0]
 
     def test_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "--seeds", "2"]
