@@ -22,9 +22,35 @@ from .errors import (
     NegativeTopLevelQuota,
     NonIntegerColorQuota,
 )
-from .model import EdgeClass, Instance, Parameters, is_admissible, validate_instance
+from .model import Instance, Parameters, is_admissible, validate_instance
 
 ClassKey = tuple[tuple[int, ...], int]
+
+
+@dataclass(slots=True)
+class AmalgamClass:
+    """One class (X, i) of the amalgam state, with sparse color counts.
+
+    ``colors`` maps a 0-based color index to the copies of that color and
+    holds no zero entries, so a class costs its nonzero counts, not k.
+    ``uncolored`` counts copies not yet colored. Documents use the dense
+    ``EdgeClass`` instead; ``build_amalgam`` and ``detach_all`` convert.
+    """
+
+    support: tuple[int, ...]
+    amalgam: int
+    colors: dict[int, int]
+    uncolored: int = 0
+
+    def total(self) -> int:
+        return sum(self.colors.values()) + self.uncolored
+
+    def dense(self, k: int) -> list[int]:
+        """The counts as a list of length k, zeros included."""
+        counts = [0] * k
+        for j, cnt in self.colors.items():
+            counts[j] = cnt
+        return counts
 
 
 class DegreeTable:
@@ -48,6 +74,8 @@ class DegreeTable:
 class AmalgamState:
     """The colored hypergraph mid-pipeline.
 
+    ``classes`` holds one ``AmalgamClass`` per class key, colors stored
+    sparsely; the degree counters stay dense, one list of length k per vertex.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
     ``weight`` is the number of vertices still merged into the amalgam.
     ``level_done`` tracks the highest fully colored amalgam level, enforcing
@@ -56,7 +84,7 @@ class AmalgamState:
 
     params: Parameters
     detached: int
-    classes: dict[ClassKey, EdgeClass]
+    classes: dict[ClassKey, AmalgamClass]
     degrees: DegreeTable
     level_done: int
 
@@ -64,11 +92,11 @@ class AmalgamState:
     def weight(self) -> int:
         return self.params.n - self.params.m - self.detached
 
-    def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
+    def get_class(self, support: tuple[int, ...], amalgam: int) -> AmalgamClass:
         key = (support, amalgam)
         cls = self.classes.get(key)
         if cls is None:
-            cls = EdgeClass(support=support, amalgam=amalgam, colors=[0] * self.params.k)
+            cls = AmalgamClass(support=support, amalgam=amalgam, colors={})
             self.classes[key] = cls
         return cls
 
@@ -78,7 +106,7 @@ def build_amalgam(inst: Instance) -> AmalgamState:
 
     For each level i in [1, h] and each (h-i)-subset X of [1, m], the class
     (X, i) starts with lambda * C(n-m, i) uncolored copies (classes whose
-    count is zero are skipped).
+    count is zero are skipped). The dense input counts become sparse here.
     """
     p = inst.params
     if not is_admissible(p):
@@ -88,13 +116,13 @@ def build_amalgam(inst: Instance) -> AmalgamState:
         raise InvalidInstance(report)
 
     degrees = DegreeTable(p.m, p.k)
-    classes: dict[ClassKey, EdgeClass] = {}
+    classes: dict[ClassKey, AmalgamClass] = {}
     for cls in inst.coloring:
-        copy = EdgeClass(support=cls.support, amalgam=0, colors=list(cls.colors))
-        classes[copy.key()] = copy
+        colors = {j: cnt for j, cnt in enumerate(cls.colors) if cnt}
+        classes[cls.key()] = AmalgamClass(support=cls.support, amalgam=0, colors=colors)
         for v in cls.support:
             row = degrees.ordinary[v]
-            for j, cnt in enumerate(cls.colors):
+            for j, cnt in colors.items():
                 row[j] += cnt
 
     for level in range(1, p.h + 1):
@@ -102,38 +130,39 @@ def build_amalgam(inst: Instance) -> AmalgamState:
         if mult == 0:
             continue
         for support in combinations(range(1, p.m + 1), p.h - level):
-            classes[(support, level)] = EdgeClass(
-                support=support, amalgam=level, colors=[0] * p.k, uncolored=mult)
+            classes[(support, level)] = AmalgamClass(
+                support=support, amalgam=level, colors={}, uncolored=mult)
 
     return AmalgamState(params=p, detached=0, classes=classes, degrees=degrees, level_done=0)
 
 
-def _color_class(state: AmalgamState, cls: EdgeClass, color_order: list[int]) -> None:
+def _color_class(state: AmalgamState, cls: AmalgamClass, color_order: list[int]) -> None:
     """Batch-assign all copies of one class under the degree caps.
 
-    Repeatedly takes the first color in ``color_order`` with positive
-    residual capacity min_x (r_j - deg_j(x)) over the support and assigns
-    min(residual, remaining copies) at once; this is equivalent to the
-    copy-by-copy greedy with the same preference order.
+    Walks ``color_order`` once and gives each color min(residual, copies
+    left), where the residual is min_x (r_j - deg_j(x)) over the support.
+    Degrees only grow while the class is colored, so a color with no
+    residual never regains one, and a single pass matches the copy-by-copy
+    greedy with the same preference order.
     """
     r = state.params.r
-    degrees = state.degrees
-    while cls.uncolored > 0:
-        assigned = False
-        for j in color_order:
-            residual = min(r[j] - degrees.ordinary[v][j] for v in cls.support)
-            if residual <= 0:
-                continue
-            take = min(residual, cls.uncolored)
-            cls.colors[j] += take
-            cls.uncolored -= take
-            for v in cls.support:
-                degrees.ordinary[v][j] += take
-            degrees.amalgam[j] += cls.amalgam * take
-            assigned = True
-            break
-        if not assigned:
-            raise GreedyStuck(cls.support, cls.amalgam)
+    rows = [state.degrees.ordinary[v] for v in cls.support]
+    amalgam = state.degrees.amalgam
+    colors = cls.colors
+    for j in color_order:
+        if not cls.uncolored:
+            return
+        residual = r[j] - max(row[j] for row in rows)
+        if residual <= 0:
+            continue
+        take = min(residual, cls.uncolored)
+        colors[j] = colors.get(j, 0) + take
+        cls.uncolored -= take
+        for row in rows:
+            row[j] += take
+        amalgam[j] += cls.amalgam * take
+    if cls.uncolored:
+        raise GreedyStuck(cls.support, cls.amalgam)
 
 
 def greedy_color_level(state: AmalgamState, level: int,
@@ -193,8 +222,9 @@ def finish_levels(state: AmalgamState) -> list[list[int]]:
             continue
         if cls.uncolored:
             raise InternalInvariantViolation(f"class {(support, level)} still uncolored")
-        for j, cnt in enumerate(cls.colors):
-            table[level][j] += cnt
+        row = table[level]
+        for j, cnt in cls.colors.items():
+            row[j] += cnt
 
     for j in range(p.k):
         weighted = sum((p.h - i) * table[i][j] for i in range(p.h))
@@ -234,7 +264,7 @@ def assign_level_h(state: AmalgamState, table: list[list[int]]) -> AmalgamState:
         if cls.uncolored != expected_total:
             raise InternalInvariantViolation(
                 f"top-level class has {cls.uncolored} copies, expected {expected_total}")
-        cls.colors = list(table[p.h])
+        cls.colors = {j: cnt for j, cnt in enumerate(table[p.h]) if cnt}
         cls.uncolored = 0
         for j in range(p.k):
             state.degrees.amalgam[j] += p.h * table[p.h][j]

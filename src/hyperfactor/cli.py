@@ -100,11 +100,15 @@ def parse_span(text: str):
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout or to ``path``; an unwritable path is a bad argument."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise BadArgument(f"{path}: cannot write: {exc}") from None
 
 
 def _stderr_trace(record: dict) -> None:
@@ -237,10 +241,17 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow({key: ("true" if value else "false") if isinstance(value, bool) else value
                          for key, value in row.items()})
-    _write_output(buffer.getvalue(), args.output)
     crashed = [row["crash"] for row in rows if row["outcome"] == "crash"]
+    unwritten = ""
+    try:
+        _write_output(buffer.getvalue(), args.output)
+    except BadArgument as exc:
+        if not crashed:
+            raise
+        unwritten = f"; also {exc}"   # a crashed cell is a bug and outranks a bad -o path
     if crashed:
-        raise InternalInvariantViolation(f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}")
+        raise InternalInvariantViolation(
+            f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}{unwritten}")
     return 0
 
 

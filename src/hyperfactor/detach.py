@@ -10,13 +10,15 @@ cell capacities. The fractional point x[c][j] = cap[c][j] * i_c / q always
 satisfies it exactly, so an integral solution exists. An iterative Dinic
 max-flow with one arc per nonzero cell, in a fixed order, finds it. A step
 walks only the live rows (classes with amalgam slots) and their nonzero
-cells, except for the post-step recount of every class.
+cells. The post-step recount still covers every class, finished ones too,
+but the state stores each class's colors sparsely, so it sums only the
+nonzero counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, attrgetter, itemgetter
+from operator import itemgetter
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
@@ -83,7 +85,7 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     classes = state.classes
     rows = [key for key in sorted(filter(itemgetter(1), classes)) if classes[key].total()]
     supplies = [donation[key[1]] for key in rows]
-    caps = [list(classes[key].colors) for key in rows]
+    caps = [classes[key].dense(p.k) for key in rows]
 
     total_supply, total_demand = sum(supplies), sum(p.r)
     if total_supply != total_demand or total_demand != p.lam * binom(p.n - 1, p.h - 1):
@@ -235,15 +237,20 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     amalgam = state.degrees.amalgam
     for key, cells, moves in zip(tp.rows, tp.cells, plan.moves):
         cls = state.classes[key]
-        target: list[int] | None = None
+        colors = cls.colors
+        target: dict[int, int] | None = None
         for j, _ in cells:
             moved = moves[j]
             if moved:
                 if target is None:
                     support = tuple(sorted(key[0] + (new_vertex,)))
                     target = state.get_class(support, key[1] - 1).colors
-                cls.colors[j] -= moved
-                target[j] += moved
+                left = colors[j] - moved
+                if left:
+                    colors[j] = left
+                else:
+                    del colors[j]   # the state keeps no zero counts
+                target[j] = target.get(j, 0) + moved
                 new_row[j] += moved
                 amalgam[j] -= moved
         if cls.total() == 0:
@@ -257,23 +264,26 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     # Recount every class, finished ones included.
     classes = state.classes
     per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
-    totals = list(map(add, map(sum, map(attrgetter("colors"), classes.values())),
-                      map(attrgetter("uncolored"), classes.values())))
+    totals = [cls.total() for cls in classes.values()]
     _require_equal(totals, list(map(per_level.__getitem__, map(itemgetter(1), classes))),
                    "class {0} holds {1} copies, expected {2}", names=classes)
     return state
 
 
 def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
-    """Run every detachment step and assemble the extension certificate."""
+    """Run every detachment step and assemble the extension certificate.
+
+    The certificate's classes get dense color lists again, one per class.
+    """
     while state.weight > 0:
         detach_step(state, hook=hook)
         if trace is not None:
             trace({"stage": "detach", "s": state.detached, "q": state.weight})
 
+    k = state.params.k
     coloring = []
     for (support, level), cls in sorted(state.classes.items()):
         if level != 0:
             raise InternalInvariantViolation(f"class {(support, level)} kept amalgam slots")
-        coloring.append(EdgeClass(support=support, amalgam=0, colors=list(cls.colors)))
+        coloring.append(EdgeClass(support=support, amalgam=0, colors=cls.dense(k)))
     return Certificate(params=state.params, coloring=coloring, report=None)

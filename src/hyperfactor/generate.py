@@ -4,8 +4,15 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .errors import GenerationFailed, InadmissibleParameters
-from .model import EdgeClass, Instance, Parameters, is_admissible
+from .errors import GenerationFailed, InadmissibleParameters, TooLarge
+from .model import (
+    MAX_STATE_SLOTS,
+    EdgeClass,
+    Instance,
+    Parameters,
+    exceeds_state_limit,
+    is_admissible,
+)
 
 _SEED_STRIDE = 1_000_003
 
@@ -69,10 +76,13 @@ def random_instance(params: Parameters, seed: int = 0,
     order, each to a uniformly random feasible color. Dead ends trigger
     restarts with derived seeds, then one bounded backtracking pass; a
     GenerationFailed after that reflects the retry budget, not
-    impossibility.
+    impossibility. Raises TooLarge when the copies would top MAX_STATE_SLOTS.
     """
     if not is_admissible(params):
         raise InadmissibleParameters("refusing to generate an inadmissible instance")
+    if exceeds_state_limit(params.lam, params.m, params.h):
+        raise TooLarge(f"lambda={params.lam}, m={params.m}, h={params.h}: lambda * C(m,h) "
+                       f"edge copies exceed the state limit of {MAX_STATE_SLOTS}")
 
     counts = None
     for attempt in range(max_restarts):

@@ -53,18 +53,25 @@ class Parameters:
         return len(self.r)
 
 
-def check_size(n: int, h: int, k: int) -> None:
-    """Raise TooLarge if the dense state, C(n, h) * (k + 8) slots, tops MAX_STATE_SLOTS.
+def exceeds_state_limit(scale: int, n: int, h: int) -> bool:
+    """True if scale * C(n, h) tops MAX_STATE_SLOTS.
 
     C(n, h) is built one factor at a time, and the count stops once past the
-    cap, so even astronomically large n and h are rejected at once.
+    cap, so even astronomically large n and h are answered at once.
     """
-    size = k + 8
+    size = scale
     for i in range(min(h, n - h)):
         size = size * (n - i) // (i + 1)
         if size > MAX_STATE_SLOTS:
-            raise TooLarge(f"n={n}, h={h}, k={k}: C(n,h) * (k + 8) exceeds the state "
-                           f"limit of {MAX_STATE_SLOTS} slots")
+            return True
+    return size > MAX_STATE_SLOTS
+
+
+def check_size(n: int, h: int, k: int) -> None:
+    """Raise TooLarge if the dense state, C(n, h) * (k + 8) slots, tops MAX_STATE_SLOTS."""
+    if exceeds_state_limit(k + 8, n, h):
+        raise TooLarge(f"n={n}, h={h}, k={k}: C(n,h) * (k + 8) exceeds the state "
+                       f"limit of {MAX_STATE_SLOTS} slots")
 
 
 @dataclass
@@ -74,16 +81,15 @@ class EdgeClass:
     ``support`` is a strictly increasing vertex tuple, ``amalgam`` the number
     of edge slots sitting on the merged placeholder vertex, so
     len(support) + amalgam equals the uniformity h. ``colors[j-1]`` counts
-    copies colored j; ``uncolored`` counts copies not yet colored.
+    copies colored j, as a dense list of length k; ``uncolored`` counts
+    copies not yet colored. Instances and certificates hold these; the
+    pipeline's mid-run state uses the sparse ``amalgam.AmalgamClass``.
     """
 
     support: tuple[int, ...]
     amalgam: int
     colors: list[int]
     uncolored: int = 0
-
-    def total(self) -> int:
-        return sum(self.colors) + self.uncolored
 
     def key(self) -> tuple[tuple[int, ...], int]:
         return (self.support, self.amalgam)

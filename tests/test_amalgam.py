@@ -5,8 +5,13 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.amalgam import (
+    AmalgamClass,
+    AmalgamState,
+    DegreeTable,
+    _color_class,
     assign_level_h,
     build_amalgam,
     finish_levels,
@@ -14,6 +19,7 @@ from hyperfactor.amalgam import (
 )
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import (
+    GreedyStuck,
     InadmissibleParameters,
     InternalInvariantViolation,
     InvalidInstance,
@@ -39,7 +45,7 @@ class TestBuildAmalgam:
         assert state.classes[((1,), 1)].uncolored == 2   # lambda * C(2,1)
         assert state.classes[((2,), 1)].uncolored == 2
         assert state.classes[((), 2)].uncolored == 1     # lambda * C(2,2)
-        assert state.classes[((1, 2), 0)].colors == [1, 0, 0]
+        assert state.classes[((1, 2), 0)].colors == {0: 1}
 
     def test_new_copy_total_matches_vandermonde(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
@@ -94,8 +100,8 @@ class TestGreedyColorLevel:
         # one copy of color 2 and one of color 3.
         assert brute_force_level1_distributions() == {((1, 2), (1, 2))}
         state = colored_state(worked_instance)
-        assert state.classes[((1,), 1)].colors == [0, 1, 1]
-        assert state.classes[((2,), 1)].colors == [0, 1, 1]
+        assert state.classes[((1,), 1)].colors == {1: 1, 2: 1}
+        assert state.classes[((2,), 1)].colors == {1: 1, 2: 1}
         for v in (1, 2):
             assert state.degrees.ordinary[v] == [1, 1, 1]
 
@@ -104,8 +110,8 @@ class TestGreedyColorLevel:
         inst = make_instance(4, 2, 2, 2, (3, 2, 1), {(1, 2): {1: 2}})
         state = build_amalgam(inst)
         greedy_color_level(state, 1)
-        assert state.classes[((1,), 1)].colors == [1, 2, 1]
-        assert state.classes[((2,), 1)].colors == [1, 2, 1]
+        assert state.classes[((1,), 1)].colors == {0: 1, 1: 2, 2: 1}
+        assert state.classes[((2,), 1)].colors == {0: 1, 1: 2, 2: 1}
         for v in (1, 2):
             assert state.degrees.ordinary[v] == [3, 2, 1]
 
@@ -125,6 +131,52 @@ class TestGreedyColorLevel:
             greedy_color_level(state, 2)
         with pytest.raises(ValueError):
             greedy_color_level(state, 3)   # level h is not a greedy level
+
+
+def copy_by_copy_greedy(r, degrees, support, copies, order):
+    """Reference: each copy takes the first color in ``order`` with room at every
+    support vertex. Returns (colors, degrees, copies left uncolored)."""
+    degrees = {v: list(row) for v, row in degrees.items()}
+    colors = {}
+    for left in range(copies, 0, -1):
+        j = next((j for j in order if all(degrees[v][j] < r[j] for v in support)), None)
+        if j is None:
+            return colors, degrees, left
+        colors[j] = colors.get(j, 0) + 1
+        for v in support:
+            degrees[v][j] += 1
+    return colors, degrees, 0
+
+
+class TestColorClass:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_copy_by_copy_greedy(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        r = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k), label="r")
+        params = Parameters(n=6, m=4, h=3, lam=1, r=tuple(r))
+        level = data.draw(st.integers(1, 2), label="level")
+        support = tuple(sorted(data.draw(
+            st.lists(st.integers(1, 4), min_size=3 - level, max_size=3 - level, unique=True),
+            label="support")))
+        degrees = DegreeTable(params.m, k)
+        for v in degrees.ordinary:
+            degrees.ordinary[v] = [data.draw(st.integers(0, rj), label=f"deg {v}") for rj in r]
+        copies = data.draw(st.integers(0, 12), label="copies")
+        order = data.draw(st.permutations(range(k)), label="order")
+        want = copy_by_copy_greedy(r, degrees.ordinary, support, copies, order)
+
+        state = AmalgamState(params=params, detached=0, classes={}, degrees=degrees,
+                             level_done=0)
+        cls = AmalgamClass(support=support, amalgam=level, colors={}, uncolored=copies)
+        try:
+            _color_class(state, cls, list(order))
+            stuck = None
+        except GreedyStuck as exc:
+            stuck = (exc.support, exc.level)
+        assert (cls.colors, degrees.ordinary, cls.uncolored) == want
+        assert stuck == ((support, level) if want[2] else None)
+        assert degrees.amalgam == [level * cls.colors.get(j, 0) for j in range(k)]
 
 
 class TestFinishLevels:
@@ -160,7 +212,7 @@ class TestAssignLevelH:
         table = finish_levels(state)
         assign_level_h(state, table)
         assert table[2] == [1, 0, 0]
-        assert state.classes[((), 2)].colors == [1, 0, 0]
+        assert state.classes[((), 2)].colors == {0: 1}
         assert state.degrees.amalgam == [2, 2, 2]   # r_j * (n - m)
 
     def test_quota_total_is_new_only_edge_count(self):

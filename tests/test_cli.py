@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,6 +82,15 @@ class TestExitCodes:
                 assert run_cli(argv) == 4
                 err = capsys.readouterr().err.splitlines()
                 assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["extend", "WORKED"],
+                                      ["gen", "--n", "4", "--m", "2", "--h", "2", "--r", "ones"]])
+    def test_exit_2_on_unwritable_output(self, argv, worked_path, tmp_path, capsys):
+        argv = [worked_path if arg == "WORKED" else arg for arg in argv]
+        out = tmp_path / "missing" / "out.json"
+        assert run_cli(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "cannot write" in err[0]
 
     def test_exit_4_on_invalid_coloring(self, tmp_path):
         doc = json.loads(WORKED_DOC)
@@ -184,6 +194,19 @@ class TestSizeLimit:
 
     def test_sweep_cell_too_large(self, capsys):
         assert run_cli(["sweep", "--h", "40", "--m", "40", "--n", "1000"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["outcome"] for row in rows] == ["too_large"]
+
+    def test_gen_copies_over_the_limit(self, capsys):
+        # lambda * C(3, 2) = 3e9 copies: rejected before any copy list is built.
+        start = time.monotonic()
+        assert run_cli(["gen", "--n", "4", "--m", "3", "--h", "2",
+                        "--lam", "1000000000", "--r", "3000000000"]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "limit" in err[0]
+        assert run_cli(["sweep", "--h", "2", "--m", "3", "--n", "6",
+                        "--lam", "1000000000", "--r", "5000000000"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [row["outcome"] for row in rows] == ["too_large"]
 
@@ -306,6 +329,16 @@ class TestSweep:
             ("6", "crash"), ("7", "inadmissible"), ("8", "ok")]
         err = captured.err.splitlines()
         assert len(err) == 1 and "RuntimeError: injected" in err[0]
+
+    def test_crashed_cell_outranks_unwritable_output(self, monkeypatch, tmp_path, capsys):
+        def crash(inst, seed=None):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "extend_instance", crash)
+        out = tmp_path / "missing" / "sweep.csv"
+        assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "4", "-o", str(out)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "RuntimeError: injected" in err[0] and "cannot write" in err[0]
 
     def test_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "--seeds", "2"]

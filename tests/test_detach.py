@@ -136,11 +136,11 @@ class TestDetachStep:
         detach_step(state)
         assert state.detached == 1 and state.weight == 1
         # frozen deterministic outcome, matching the hand trace
-        assert state.classes[((1, 3), 0)].colors == [0, 1, 0]
-        assert state.classes[((2, 3), 0)].colors == [0, 0, 1]
-        assert state.classes[((3,), 1)].colors == [1, 0, 0]
-        assert state.classes[((1,), 1)].colors == [0, 0, 1]
-        assert state.classes[((2,), 1)].colors == [0, 1, 0]
+        assert state.classes[((1, 3), 0)].colors == {1: 1}
+        assert state.classes[((2, 3), 0)].colors == {2: 1}
+        assert state.classes[((3,), 1)].colors == {0: 1}
+        assert state.classes[((1,), 1)].colors == {2: 1}
+        assert state.classes[((2,), 1)].colors == {1: 1}
         assert state.degrees.ordinary[3] == [1, 1, 1]
 
     def test_multiplicity_law_across_steps(self):
@@ -160,6 +160,28 @@ class TestDetachStep:
             detach_step(state)
             step += 1
             assert state.degrees.ordinary[3 + step] == [2, 2, 1, 1, 1]
+
+
+class TestSparseState:
+    """The state stores each class's colors as a dict with no zero counts."""
+
+    @pytest.mark.parametrize("params", [
+        Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1)),
+        Parameters(n=9, m=3, h=3, lam=2, r=(2,) * 20 + (1,) * 16),
+    ], ids=["h2", "h3"])
+    def test_counts_stay_positive_and_exact(self, params):
+        def check(state, tp=None, plan=None):
+            q = state.weight
+            for (support, level), cls in state.classes.items():
+                assert all(0 <= j < params.k and cnt > 0 for j, cnt in cls.colors.items()), \
+                    (support, level, cls.colors)
+                assert cls.total() == params.lam * binom(q, level), (support, level)
+
+        state = ready_state(random_instance(params, seed=3), seed=3)
+        while state.weight > 0:
+            detach_step(state, hook=check)   # the hook sees the state the step starts from
+            check(state)
+        assert state.detached == params.n - params.m
 
 
 class TestStepChecks:
