@@ -92,6 +92,31 @@ class AmalgamState:
     def weight(self) -> int:
         return self.params.n - self.params.m - self.detached
 
+    def check(self) -> None:
+        """Assert the invariant of a fully colored state at weight q, in one pass.
+
+        Every class (X, i) holds exactly lambda * C(q, i) copies, all colored.
+        For each color j, the live classes (i >= 1) weigh sum i * count_j,
+        which must equal the amalgam counter, which must equal r_j * q.
+        """
+        p = self.params
+        q = self.weight
+        per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
+        weighted = [0] * p.k
+        for key, cls in self.classes.items():
+            level = key[1]
+            if cls.uncolored or sum(cls.colors.values()) != per_level[level]:
+                raise InternalInvariantViolation(
+                    f"class {key} holds {cls.total()} copies ({cls.uncolored} uncolored),"
+                    f" expected {per_level[level]}")
+            if level:
+                for j, cnt in cls.colors.items():
+                    weighted[j] += level * cnt
+        for j, (w, d, rj) in enumerate(zip(weighted, self.degrees.amalgam, p.r), start=1):
+            if not w == d == rj * q:
+                raise InternalInvariantViolation(
+                    f"color {j}: live classes weigh {w}, amalgam degree {d}, expected {rj * q}")
+
     def get_class(self, support: tuple[int, ...], amalgam: int) -> AmalgamClass:
         key = (support, amalgam)
         cls = self.classes.get(key)
@@ -240,8 +265,8 @@ def assign_level_h(state: AmalgamState, table: list[list[int]]) -> AmalgamState:
     Each color class of the final factorization has exactly r_j * n / h edge
     copies, so t[h][j] = r_j * n / h - sum_i t[i][j] is forced. Each quota
     must be a nonnegative integer and the quotas must total
-    lambda * C(n-m, h); afterwards the amalgam sits at degree r_j * (n - m)
-    in every color.
+    lambda * C(n-m, h). Ends with ``state.check()``: the amalgam sits at
+    degree r_j * (n - m) in every color and every class is fully colored.
     """
     p = state.params
     if state.level_done != p.h - 1:
@@ -269,11 +294,6 @@ def assign_level_h(state: AmalgamState, table: list[list[int]]) -> AmalgamState:
         for j in range(p.k):
             state.degrees.amalgam[j] += p.h * table[p.h][j]
 
-    for j in range(p.k):
-        expected = p.r[j] * (p.n - p.m)
-        if state.degrees.amalgam[j] != expected:
-            raise InternalInvariantViolation(
-                f"amalgam degree {state.degrees.amalgam[j]} in color {j + 1}, expected {expected}")
-
     state.level_done = p.h
+    state.check()
     return state

@@ -230,8 +230,11 @@ def cmd_sweep(args) -> int:
              for seed in range(args.seeds)]
 
     if args.jobs > 1 and cells:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_sweep_cell, cells, chunksize=8))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(run_sweep_cell, cells, chunksize=8))
+        except concurrent.futures.BrokenExecutor as exc:   # a worker process was killed
+            raise InternalInvariantViolation(f"a sweep worker died: {exc}") from None
     else:
         rows = [run_sweep_cell(cell) for cell in cells]
 

@@ -8,16 +8,16 @@ The only freedom is how each class's donation distributes over colors:
 an integral transportation problem with row supplies, column demands and
 cell capacities. The fractional point x[c][j] = cap[c][j] * i_c / q always
 satisfies it exactly, so an integral solution exists. An iterative Dinic
-max-flow with one arc per nonzero cell, in a fixed order, finds it. A step
-walks only the live rows (classes with amalgam slots) and their nonzero
-cells. The post-step recount still covers every class, finished ones too,
-but the state stores each class's colors sparsely, so it sums only the
-nonzero counts.
+max-flow with one arc per nonzero cell, in a fixed order, finds it. The
+problem is read straight off the live rows (classes with amalgam slots):
+each row is its class's colors and nonzero counts, two parallel lists, so a
+step touches no cell a class does not hold. A step checks the plan, applies
+it, and ends with ``AmalgamState.check``, which also covers the witness the
+next step relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .combinatorics import binom
@@ -31,48 +31,42 @@ class TransportationProblem:
     """One detachment step's donation constraints.
 
     ``rows[c]`` is a class key with amalgam multiplicity >= 1, ``supplies[c]``
-    its forced donation count, ``demands[j-1]`` the new vertex's target
-    degree r_j, and ``caps[c][j-1]`` the copies of that class currently
-    colored j. Row supplies and column demands have equal totals.
-    ``cells[c]`` lists the nonzero (j-1, cap) pairs of ``caps[c]`` in order.
+    its forced donation count and ``demands[j-1]`` the new vertex's target
+    degree r_j. ``colors[c]`` lists, ascending, the 0-based colors the class
+    holds, and ``caps[c]`` the copies of each, all nonzero; a color not in
+    ``colors[c]`` has cap 0. Row supplies and column demands have equal totals.
     """
 
     rows: list[ClassKey]
     supplies: list[int]
     demands: list[int]
+    colors: list[list[int]]
     caps: list[list[int]]
-    cells: list[list[tuple[int, int]]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.cells = [list(zip(compress(range(len(row)), row), filter(None, row)))
-                      for row in self.caps]
 
 
 @dataclass
 class DetachPlan:
-    """Integral donation matrix: moves[c][j-1] copies of rows[c] take color j."""
+    """Integral donation plan, parallel to the problem's cells.
+
+    ``moves[c][t]`` copies of ``rows[c]`` in color ``tp.colors[c][t]`` go to
+    the new vertex; ``moves[c]`` has one entry per entry of ``tp.caps[c]``.
+    """
 
     rows: list[ClassKey]
     moves: list[list[int]]
 
 
-def _require_equal(got: list, want: list, what: str, names=None) -> None:
-    """Raise ``what`` formatted with the first differing position's name and values."""
-    if got != want:
-        j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
-        name = j + 1 if names is None else list(names)[j]
-        raise InternalInvariantViolation(what.format(name, got[j], want[j]))
-
-
 def build_transportation(state: AmalgamState) -> TransportationProblem:
     """Set up the donation problem for the next new vertex.
 
-    Requires a fully colored state with amalgam degree r_j * q in every
-    color (``assign_level_h`` and each ``detach_step`` end by checking it).
-    Row supplies are the Pascal-forced lambda * C(q-1, i-1); totals must
-    balance at lambda * C(n-1, h-1) = sum_j r_j. Asserts the exact
-    feasibility witness: the point x[c][j] = caps[c][j] * i_c / q meets
-    every constraint with equality, checked with denominators cleared by q.
+    Requires a state that passed ``AmalgamState.check`` (``assign_level_h``
+    and each ``detach_step`` end with it). That check is the feasibility
+    witness: each class (X, i) holds lambda * C(q, i) copies, and
+    q * lambda * C(q-1, i-1) = i * lambda * C(q, i), so the point
+    x[c][j] = caps[c][j] * i_c / q meets its row supply; its column sums
+    are the amalgam counter r_j * q divided by q. Row supplies are the
+    Pascal-forced lambda * C(q-1, i-1); here only their balance against
+    lambda * C(n-1, h-1) = sum_j r_j is checked.
     """
     p = state.params
     q = state.weight
@@ -85,25 +79,15 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     classes = state.classes
     rows = [key for key in sorted(filter(itemgetter(1), classes)) if classes[key].total()]
     supplies = [donation[key[1]] for key in rows]
-    caps = [classes[key].dense(p.k) for key in rows]
-
     total_supply, total_demand = sum(supplies), sum(p.r)
     if total_supply != total_demand or total_demand != p.lam * binom(p.n - 1, p.h - 1):
         raise InternalInvariantViolation(f"supply {total_supply} != demand {total_demand}")
-    tp = TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r), caps=caps)
 
-    col_weighted = [0] * p.k
-    for key, supply, row_caps, cells in zip(rows, supplies, caps, tp.cells):
-        level = key[1]
-        if level > q:
-            raise InternalInvariantViolation(f"class {key} outlived weight {q}")
-        if sum(row_caps) * level != supply * q:
-            raise InternalInvariantViolation(f"witness row sum fails for {key}")
-        for j, cap in cells:
-            col_weighted[j] += level * cap
-    _require_equal(col_weighted, [rj * q for rj in p.r],
-                   "witness column sum fails for color {0}: {1} != {2}")
-    return tp
+    held = [classes[key].colors for key in rows]
+    colors = [sorted(counts) for counts in held]
+    caps = [list(map(counts.__getitem__, row)) for counts, row in zip(held, colors)]
+    return TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r),
+                                 colors=colors, caps=caps)
 
 
 def _max_flow(num_nodes: int, tails: list[int], heads: list[int], caps: list[int],
@@ -169,7 +153,7 @@ def _max_flow(num_nodes: int, tails: list[int], heads: list[int], caps: list[int
 
 
 def solve_transportation(tp: TransportationProblem) -> DetachPlan:
-    """Find an integral matrix with exact row sums, column sums, and caps.
+    """Find integral moves with exact row sums, column sums, and caps.
 
     Built as a four-layer flow network source -> rows -> colors -> sink with
     one arc per nonzero cell in a fixed order, so the plan is deterministic.
@@ -178,10 +162,10 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     num_rows, k = len(tp.rows), len(tp.demands)
     sink = 1 + num_rows + k
     tails, heads, caps = [0] * num_rows, list(range(1, 1 + num_rows)), list(tp.supplies)
-    for c, cells in enumerate(tp.cells, start=1):
-        tails += [c] * len(cells)
-        heads += [1 + num_rows + j for j, _ in cells]
-        caps += map(itemgetter(1), cells)
+    for c, (colors, row_caps) in enumerate(zip(tp.colors, tp.caps), start=1):
+        tails += [c] * len(colors)
+        heads += [1 + num_rows + j for j in colors]
+        caps += row_caps
     tails += range(1 + num_rows, sink)
     heads += [sink] * k
     caps += tp.demands
@@ -190,42 +174,41 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     got, residual = _max_flow(sink + 1, tails, heads, caps, 0, sink)
     if got != want:
         raise InfeasibleTransport(f"max flow {got} < required {want}", tp)
-    moves = [[0] * k for _ in range(num_rows)]
     cell_residual = iter(residual[2 * num_rows::2])
-    for row, cells in zip(moves, tp.cells):
-        for (j, cap), left in zip(cells, cell_residual):
-            row[j] = cap - left
+    moves = [[cap - left for cap, left in zip(row_caps, cell_residual)] for row_caps in tp.caps]
     return DetachPlan(rows=tp.rows, moves=moves)
 
 
 def _check_plan(tp: TransportationProblem, plan: DetachPlan) -> None:
-    """Check caps, row sums and column sums in one pass over the nonzero cells."""
+    """Check caps, row sums and column sums in one pass over the plan's cells."""
     col_sums = [0] * len(tp.demands)
-    for key, supply, cells, moves in zip(tp.rows, tp.supplies, tp.cells, plan.moves):
-        row_sum = 0
-        for j, cap in cells:
-            if not 0 <= moves[j] <= cap:
+    for key, supply, colors, caps, moves in zip(tp.rows, tp.supplies, tp.colors, tp.caps,
+                                                plan.moves):
+        if len(moves) != len(caps):
+            raise InternalInvariantViolation(
+                f"row {key} has {len(moves)} moves for {len(caps)} cells")
+        for j, cap, moved in zip(colors, caps, moves):
+            if not 0 <= moved <= cap:
                 raise InternalInvariantViolation(
-                    f"row {key} moves {moves[j]} copies of color {j + 1}, cap {cap}")
-            row_sum += moves[j]
-            col_sums[j] += moves[j]
-        if sum(moves) != row_sum or min(moves) < 0:   # a zero-cap cell moved
-            raise InternalInvariantViolation(f"row {key} moves copies of a color with cap 0")
-        if row_sum != supply:
-            raise InternalInvariantViolation(f"row {key} sum {row_sum} != supply {supply}")
-    _require_equal(col_sums, tp.demands, "column {0} sum {1} != demand {2}")
+                    f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
+            col_sums[j] += moved
+        if sum(moves) != supply:
+            raise InternalInvariantViolation(f"row {key} sum {sum(moves)} != supply {supply}")
+    for j, (got, want) in enumerate(zip(col_sums, tp.demands), start=1):
+        if got != want:
+            raise InternalInvariantViolation(f"column {j} sum {got} != demand {want}")
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     """Split one vertex off the amalgam, preserving all invariants.
 
-    The new vertex takes id m + detached + 1. For every class (X, i) and
-    color j, moves[c][j] copies become (X + {new}, i - 1) copies of the same
-    color. Afterwards the new vertex has degree exactly r_j per color, the
-    amalgam drops to r_j * (q - 1), and every class (S, i) holds
+    The new vertex takes id m + detached + 1. For every row c = (X, i) and
+    cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
+    copies of the same color. Afterwards the new vertex has degree exactly
+    r_j per color (the plan's column sums), and ``state.check()`` confirms
+    that the amalgam dropped to r_j * (q - 1) and every class (S, i) holds
     lambda * C(q - 1, i) copies.
     """
-    p = state.params
     tp = build_transportation(state)
     plan = solve_transportation(tp)
     _check_plan(tp, plan)
@@ -235,12 +218,11 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     new_vertex = state.degrees.add_vertex()
     new_row = state.degrees.ordinary[new_vertex]
     amalgam = state.degrees.amalgam
-    for key, cells, moves in zip(tp.rows, tp.cells, plan.moves):
+    for key, row_colors, moves in zip(tp.rows, tp.colors, plan.moves):
         cls = state.classes[key]
         colors = cls.colors
         target: dict[int, int] | None = None
-        for j, _ in cells:
-            moved = moves[j]
+        for j, moved in zip(row_colors, moves):
             if moved:
                 if target is None:
                     support = tuple(sorted(key[0] + (new_vertex,)))
@@ -257,16 +239,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
             del state.classes[key]
 
     state.detached += 1
-    q = state.weight
-    # The new vertex's degrees are the plan's column sums, fixed by _check_plan.
-    _require_equal(amalgam, [rj * q for rj in p.r],
-                   "amalgam degree {1} in color {0} after step, expected {2}")
-    # Recount every class, finished ones included.
-    classes = state.classes
-    per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
-    totals = [cls.total() for cls in classes.values()]
-    _require_equal(totals, list(map(per_level.__getitem__, map(itemgetter(1), classes))),
-                   "class {0} holds {1} copies, expected {2}", names=classes)
+    state.check()
     return state
 
 

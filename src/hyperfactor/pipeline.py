@@ -25,8 +25,9 @@ def extend_instance(inst: Instance, seed: int | None = None,
     transportation step at a time. ``seed`` shuffles greedy order for
     robustness testing (default fully deterministic); ``trace`` receives one
     JSON-ready record per level and per detachment step, each stamped with
-    ``t_ms``, the milliseconds since the call began; ``hook`` is called with
-    every transportation problem and plan before it is applied.
+    ``t_ms``, the milliseconds since the call began; ``hook(state, tp, plan)``
+    sees each step's checked plan before it is applied (per row, parallel
+    ``tp.colors``, ``tp.caps`` and ``plan.moves`` lists).
     """
     trace = _stamped(trace, time.perf_counter())
     state = build_amalgam(inst)

@@ -169,19 +169,25 @@ class InstrumentedChecks:
             ok &= state.degrees.amalgam[j] == p.r[j] * q
         for (support, level), cls in state.classes.items():
             ok &= cls.total() == p.lam * binom(state.weight, level)
+        # Each row lists its held colors, ascending, with parallel caps and
+        # moves; a color it does not hold has cap 0 and moves nothing.
         col_sums = [Fraction(0)] * p.k
+        move_sums = [0] * p.k
         for c, key in enumerate(tp.rows):
             level = key[1]
-            witness_row = [Fraction(tp.caps[c][j] * level, state.weight) for j in range(p.k)]
+            colors, caps, moves = tp.colors[c], tp.caps[c], plan.moves[c]
+            ok &= colors == sorted(set(colors)) and all(0 <= j < p.k for j in colors)
+            ok &= len(caps) == len(colors) and len(moves) == len(caps)
+            witness_row = [Fraction(cap * level, state.weight) for cap in caps]
             ok &= sum(witness_row) == tp.supplies[c]
-            ok &= all(witness_row[j] <= tp.caps[c][j] for j in range(p.k))
-            for j in range(p.k):
-                col_sums[j] += witness_row[j]
-            ok &= sum(plan.moves[c]) == tp.supplies[c]
-            ok &= all(0 <= plan.moves[c][j] <= tp.caps[c][j] for j in range(p.k))
+            ok &= all(x <= cap for x, cap in zip(witness_row, caps))
+            ok &= sum(moves) == tp.supplies[c]
+            ok &= all(0 <= moved <= cap for moved, cap in zip(moves, caps))
+            for j, x, moved in zip(colors, witness_row, moves):
+                col_sums[j] += x
+                move_sums[j] += moved
         ok &= all(col_sums[j] == tp.demands[j] for j in range(p.k))
-        for j in range(p.k):
-            ok &= sum(plan.moves[c][j] for c in range(len(tp.rows))) == tp.demands[j]
+        ok &= all(move_sums[j] == tp.demands[j] for j in range(p.k))
         self.steps += 1
         if not ok:
             self.violations += 1

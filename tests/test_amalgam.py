@@ -215,6 +215,14 @@ class TestAssignLevelH:
         assert state.classes[((), 2)].colors == {0: 1}
         assert state.degrees.amalgam == [2, 2, 2]   # r_j * (n - m)
 
+    def test_ends_with_the_state_check(self, worked_instance):
+        state = colored_state(worked_instance)
+        table = finish_levels(state)
+        state.classes[((1,), 1)].colors = {1: 2}   # was {1: 1, 2: 1}: same total
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^color 2: live classes weigh 3, amalgam degree 2"):
+            assign_level_h(state, table)
+
     def test_quota_total_is_new_only_edge_count(self):
         # The input edge's color has forced level counts (1, 0, 0) since
         # 3*t0 + 2*t1 + t2 = r_j*m = 3, so its top quota is exactly 2;

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 
 import pytest
@@ -284,6 +285,10 @@ class TestGen:
         assert run_cli(["verify", str(cert_path), str(inst_path)]) == 0
 
 
+def _kill_worker(cell):
+    os._exit(3)
+
+
 class TestSweep:
     def test_grid_csv(self, tmp_path, capsys):
         assert run_cli(["sweep", "--h", "2", "--m", "2..4", "--n", "2m..2m+4",
@@ -339,6 +344,13 @@ class TestSweep:
         assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "4", "-o", str(out)]) == 6
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "RuntimeError: injected" in err[0] and "cannot write" in err[0]
+
+    def test_killed_worker_exits_6(self, monkeypatch, capsys):
+        # The pool sends ``_kill_worker`` to its workers by name, so each one dies.
+        monkeypatch.setattr(cli, "run_sweep_cell", _kill_worker)
+        assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "4", "--jobs", "2"]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a sweep worker died"), err
 
     def test_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "--seeds", "2"]

@@ -33,15 +33,19 @@ def ready_state(inst, seed=None):
 
 
 def enumerate_integral_plans(tp: TransportationProblem):
-    """All integral matrices meeting row sums, column sums and caps."""
+    """All integral plans, parallel to ``tp.caps``, meeting row sums, column sums and caps."""
     k = len(tp.demands)
     solutions = []
     row_choices = []
     for c in range(len(tp.rows)):
-        cells = [range(tp.caps[c][j] + 1) for j in range(k)]
+        cells = [range(cap + 1) for cap in tp.caps[c]]
         row_choices.append([row for row in product(*cells) if sum(row) == tp.supplies[c]])
     for rows in product(*row_choices):
-        if all(sum(r[j] for r in rows) == tp.demands[j] for j in range(k)):
+        col_sums = [0] * k
+        for colors, row in zip(tp.colors, rows):
+            for j, moved in zip(colors, row):
+                col_sums[j] += moved
+        if col_sums == tp.demands:
             solutions.append(tuple(rows))
     return solutions
 
@@ -53,7 +57,8 @@ class TestBuildTransportation:
         assert tp.rows == [((), 2), ((1,), 1), ((2,), 1)]
         assert tp.supplies == [1, 1, 1]
         assert tp.demands == [1, 1, 1]
-        assert tp.caps == [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
+        assert tp.colors == [[0], [1, 2], [1, 2]]
+        assert tp.caps == [[1], [1, 1], [1, 1]]
 
     def test_totals_balance(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
@@ -77,19 +82,22 @@ class TestBuildTransportation:
         while state.weight > 0:
             q = state.weight
             tp = build_transportation(state)
-            witness = [[Fraction(tp.caps[c][j] * key[1], q) for j in range(params.k)]
-                       for c, key in enumerate(tp.rows)]
-            for c in range(len(tp.rows)):
-                assert sum(witness[c]) == tp.supplies[c]
-                assert all(witness[c][j] <= tp.caps[c][j] for j in range(params.k))
+            col_sums = [Fraction(0)] * params.k
+            for c, key in enumerate(tp.rows):
+                witness = [Fraction(cap * key[1], q) for cap in tp.caps[c]]
+                assert sum(witness) == tp.supplies[c]
+                assert all(x <= cap for x, cap in zip(witness, tp.caps[c]))
+                for j, x in zip(tp.colors[c], witness):
+                    col_sums[j] += x
             for j in range(params.k):
-                assert sum(witness[c][j] for c in range(len(tp.rows))) == tp.demands[j]
+                assert col_sums[j] == tp.demands[j]
             detach_step(state)
 
 
 class TestSolveTransportation:
     def test_one_by_one(self):
-        tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2], caps=[[2]])
+        tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2],
+                                   colors=[[0]], caps=[[2]])
         plan = solve_transportation(tp)
         assert plan.moves == [[2]]
 
@@ -101,10 +109,11 @@ class TestSolveTransportation:
         assert len(solutions) == 2
         plan = solve_transportation(tp)
         assert tuple(tuple(row) for row in plan.moves) in solutions
-        assert plan.moves[0] == [1, 0, 0]   # the all-new class must donate to color 1
+        assert tp.colors[0] == [0] and plan.moves[0] == [1]   # the all-new class donates color 1
 
     def test_capacity_cut_infeasible(self):
-        tp = TransportationProblem(rows=[((), 1)], supplies=[1], demands=[1], caps=[[0]])
+        tp = TransportationProblem(rows=[((), 1)], supplies=[1], demands=[1],
+                                   colors=[[]], caps=[[]])
         with pytest.raises(InfeasibleTransport):
             solve_transportation(tp)
 
@@ -114,13 +123,19 @@ class TestSolveTransportation:
         # through the reverse arc of its color-1 cell.
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
                                    supplies=[2, 1, 1], demands=[2, 1, 1],
-                                   caps=[[1, 1, 1], [1, 1, 0], [1, 0, 0]])
-        assert solve_transportation(tp).moves == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+                                   colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
+        assert solve_transportation(tp).moves == [[0, 1, 1], [1, 0], [1]]
 
     def test_cells_list_nonzero_caps_in_color_order(self):
-        tp = TransportationProblem(rows=[((), 1), ((), 2)], supplies=[1, 1], demands=[1, 1],
-                                   caps=[[0, 2, 0, 1], [0, 0, 0, 0]])
-        assert tp.cells == [[(1, 2), (3, 1)], []]
+        params = Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1))
+        state = ready_state(random_instance(params, seed=3), seed=3)
+        for cls in state.classes.values():
+            cls.colors = dict(reversed(cls.colors.items()))   # insertion order must not matter
+        tp = build_transportation(state)
+        assert any(len(colors) > 1 for colors in tp.colors)
+        for key, colors, caps in zip(tp.rows, tp.colors, tp.caps):
+            assert colors == sorted(state.classes[key].colors)
+            assert caps == [state.classes[key].colors[j] for j in colors] and all(caps)
 
     def test_deterministic(self, worked_instance):
         plans = []
@@ -176,6 +191,16 @@ class TestSparseState:
                 assert all(0 <= j < params.k and cnt > 0 for j, cnt in cls.colors.items()), \
                     (support, level, cls.colors)
                 assert cls.total() == params.lam * binom(q, level), (support, level)
+            if tp is None:
+                return
+            # The problem is read straight off the live classes' nonzero counts.
+            assert tp.rows == sorted(key for key in state.classes if key[1] >= 1)
+            for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves,
+                                                strict=True):
+                assert all(a < b for a, b in zip(colors, colors[1:])), (key, colors)
+                assert dict(zip(colors, caps)) == state.classes[key].colors, key
+                assert all(cap > 0 for cap in caps), (key, caps)
+                assert len(moves) == len(caps), key
 
         state = ready_state(random_instance(params, seed=3), seed=3)
         while state.weight > 0:
@@ -187,12 +212,13 @@ class TestSparseState:
 class TestStepChecks:
     """Every step validates the plan it is given and recounts every class."""
 
-    # The worked example's first step has caps [[1, 0, 0], [0, 1, 1], [0, 1, 1]]
-    # and unit supplies and demands.
+    # The worked example's first step has colors [[0], [1, 2], [1, 2]], caps
+    # [[1], [1, 1], [1, 1]], and unit supplies and demands.
     @pytest.mark.parametrize("moves, message", [
-        ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "cap"),             # sums kept, caps broken
-        ([[1, 0, 0], [0, 1, 1], [0, 0, 0]], "supply"),          # only row sums broken
-        ([[1, 0, 0], [0, 1, 0], [0, 1, 0]], "column 2 sum 2"),  # only column sums broken
+        ([[1], [2, -1], [-1, 2]], "cap"),             # sums kept, caps broken
+        ([[1], [1, 1], [0, 0]], "supply"),            # only row sums broken
+        ([[1], [1, 0], [1, 0]], "column 2 sum 2"),    # only column sums broken
+        ([[1], [1], [0, 1]], "1 moves for 2 cells"),  # a row not parallel to its caps
     ])
     def test_bad_plan_is_rejected(self, worked_instance, monkeypatch, moves, message):
         from hyperfactor import detach
@@ -208,6 +234,22 @@ class TestStepChecks:
 
         with pytest.raises(InternalInvariantViolation, match=r"class \(\(1, 2\), 0\) holds 2"):
             detach_step(ready_state(worked_instance), hook=add_copy)
+
+    def test_color_sums_checked_on_the_same_step(self, worked_instance):
+        # Shift one copy the plan leaves behind to another color of its live
+        # class: every class total holds, only the color weights change.
+        def shift_copy(state, tp, plan):
+            for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
+                for t, (cap, moved) in enumerate(zip(caps, moves)):
+                    if cap > moved and len(colors) > 1:
+                        counts = state.classes[key].colors
+                        other = colors[t - 1]
+                        counts[colors[t]] -= 1
+                        counts[other] += 1
+                        return
+
+        with pytest.raises(InternalInvariantViolation, match=r"^color 2: live classes weigh"):
+            detach_step(ready_state(worked_instance), hook=shift_copy)
 
 
 class TestDetachAll:
