@@ -24,7 +24,6 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInstance,
     NegativeTopLevelQuota,
-    NonIntegerColorQuota,
     SchemaError,
     TooLarge,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "random_instance", "extend_instance", "single_edge_instance",
     "verify_certificate", "brute_force_extend", "EXHAUSTED", "TOO_LARGE",
     "HyperfactorError", "SchemaError", "InadmissibleParameters", "InvalidInstance",
-    "GreedyStuck", "NegativeTopLevelQuota", "NonIntegerColorQuota",
+    "GreedyStuck", "NegativeTopLevelQuota",
     "InfeasibleTransport", "InternalInvariantViolation", "GenerationFailed",
     "TooLarge", "BelowBound", "BadArgument",
     "__version__",

@@ -20,37 +20,10 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInstance,
     NegativeTopLevelQuota,
-    NonIntegerColorQuota,
 )
-from .model import Instance, Parameters, is_admissible, validate_instance
+from .model import EdgeClass, Instance, Parameters, is_admissible, validate_instance
 
 ClassKey = tuple[tuple[int, ...], int]
-
-
-@dataclass(slots=True)
-class AmalgamClass:
-    """One class (X, i) of the amalgam state, with sparse color counts.
-
-    ``colors`` maps a 0-based color index to the copies of that color and
-    holds no zero entries, so a class costs its nonzero counts, not k.
-    ``uncolored`` counts copies not yet colored. Documents use the dense
-    ``EdgeClass`` instead; ``build_amalgam`` and ``detach_all`` convert.
-    """
-
-    support: tuple[int, ...]
-    amalgam: int
-    colors: dict[int, int]
-    uncolored: int = 0
-
-    def total(self) -> int:
-        return sum(self.colors.values()) + self.uncolored
-
-    def dense(self, k: int) -> list[int]:
-        """The counts as a list of length k, zeros included."""
-        counts = [0] * k
-        for j, cnt in self.colors.items():
-            counts[j] = cnt
-        return counts
 
 
 class DegreeTable:
@@ -74,8 +47,9 @@ class DegreeTable:
 class AmalgamState:
     """The colored hypergraph mid-pipeline.
 
-    ``classes`` holds one ``AmalgamClass`` per class key, colors stored
-    sparsely; the degree counters stay dense, one list of length k per vertex.
+    ``classes`` holds one ``EdgeClass`` per class key, the type documents use
+    too, each with its sparse ``{color: count}`` map; the degree counters stay
+    dense, one list of length k per vertex.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
     ``weight`` is the number of vertices still merged into the amalgam.
     ``level_done`` tracks the highest fully colored amalgam level, enforcing
@@ -84,7 +58,7 @@ class AmalgamState:
 
     params: Parameters
     detached: int
-    classes: dict[ClassKey, AmalgamClass]
+    classes: dict[ClassKey, EdgeClass]
     degrees: DegreeTable
     level_done: int
 
@@ -117,11 +91,11 @@ class AmalgamState:
                 raise InternalInvariantViolation(
                     f"color {j}: live classes weigh {w}, amalgam degree {d}, expected {rj * q}")
 
-    def get_class(self, support: tuple[int, ...], amalgam: int) -> AmalgamClass:
+    def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)
         cls = self.classes.get(key)
         if cls is None:
-            cls = AmalgamClass(support=support, amalgam=amalgam, colors={})
+            cls = EdgeClass(support=support, amalgam=amalgam, colors={})
             self.classes[key] = cls
         return cls
 
@@ -131,7 +105,8 @@ def build_amalgam(inst: Instance) -> AmalgamState:
 
     For each level i in [1, h] and each (h-i)-subset X of [1, m], the class
     (X, i) starts with lambda * C(n-m, i) uncolored copies (classes whose
-    count is zero are skipped). The dense input counts become sparse here.
+    count is zero are skipped). Each input class is copied, so the state
+    never shares a ``colors`` map with the instance it extends.
     """
     p = inst.params
     if not is_admissible(p):
@@ -141,10 +116,10 @@ def build_amalgam(inst: Instance) -> AmalgamState:
         raise InvalidInstance(report)
 
     degrees = DegreeTable(p.m, p.k)
-    classes: dict[ClassKey, AmalgamClass] = {}
+    classes: dict[ClassKey, EdgeClass] = {}
     for cls in inst.coloring:
-        colors = {j: cnt for j, cnt in enumerate(cls.colors) if cnt}
-        classes[cls.key()] = AmalgamClass(support=cls.support, amalgam=0, colors=colors)
+        colors = dict(cls.colors)
+        classes[cls.key()] = EdgeClass(support=cls.support, amalgam=0, colors=colors)
         for v in cls.support:
             row = degrees.ordinary[v]
             for j, cnt in colors.items():
@@ -155,13 +130,13 @@ def build_amalgam(inst: Instance) -> AmalgamState:
         if mult == 0:
             continue
         for support in combinations(range(1, p.m + 1), p.h - level):
-            classes[(support, level)] = AmalgamClass(
+            classes[(support, level)] = EdgeClass(
                 support=support, amalgam=level, colors={}, uncolored=mult)
 
     return AmalgamState(params=p, detached=0, classes=classes, degrees=degrees, level_done=0)
 
 
-def _color_class(state: AmalgamState, cls: AmalgamClass, color_order: list[int]) -> None:
+def _color_class(state: AmalgamState, cls: EdgeClass, color_order: list[int]) -> None:
     """Batch-assign all copies of one class under the degree caps.
 
     Walks ``color_order`` once and gives each color min(residual, copies
@@ -273,8 +248,6 @@ def assign_level_h(state: AmalgamState, table: list[list[int]]) -> AmalgamState:
         raise InternalInvariantViolation("assign_level_h before all greedy levels")
 
     for j in range(p.k):
-        if (p.r[j] * p.n) % p.h != 0:
-            raise NonIntegerColorQuota(j + 1)
         table[p.h][j] = (p.r[j] * p.n) // p.h - sum(table[i][j] for i in range(p.h))
         if table[p.h][j] < 0:
             raise NegativeTopLevelQuota(j + 1, table[p.h][j])

@@ -229,12 +229,15 @@ def cmd_sweep(args) -> int:
              for lam in lam_values(0)
              for seed in range(args.seeds)]
 
+    rows, died = [], None
     if args.jobs > 1 and cells:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(run_sweep_cell, cells, chunksize=8))
-        except concurrent.futures.BrokenExecutor as exc:   # a worker process was killed
-            raise InternalInvariantViolation(f"a sweep worker died: {exc}") from None
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(run_sweep_cell, cell) for cell in cells]
+        for future in futures:   # one task per cell: a killed worker loses only unfinished cells
+            try:
+                rows.append(future.result())
+            except concurrent.futures.BrokenExecutor as exc:
+                died = died or exc
     else:
         rows = [run_sweep_cell(cell) for cell in cells]
 
@@ -245,16 +248,17 @@ def cmd_sweep(args) -> int:
         writer.writerow({key: ("true" if value else "false") if isinstance(value, bool) else value
                          for key, value in row.items()})
     crashed = [row["crash"] for row in rows if row["outcome"] == "crash"]
-    unwritten = ""
+    failure = (f"a sweep worker died: {died}" if died is not None
+               else f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}" if crashed
+               else None)
     try:
         _write_output(buffer.getvalue(), args.output)
     except BadArgument as exc:
-        if not crashed:
+        if failure is None:
             raise
-        unwritten = f"; also {exc}"   # a crashed cell is a bug and outranks a bad -o path
-    if crashed:
-        raise InternalInvariantViolation(
-            f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}{unwritten}")
+        failure += f"; also {exc}"   # a bug outranks a bad -o path
+    if failure is not None:
+        raise InternalInvariantViolation(failure)
     return 0
 
 

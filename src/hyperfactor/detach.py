@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
-from .model import Certificate, EdgeClass
+from .model import Certificate
 from .amalgam import AmalgamState, ClassKey
 
 
@@ -244,19 +244,20 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
 
 
 def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
-    """Run every detachment step and assemble the extension certificate.
+    """Run every detachment step and hand the finished classes to the certificate.
 
-    The certificate's classes get dense color lists again, one per class.
+    Once the amalgam is gone every class is a level-0 ``EdgeClass``, the type
+    certificates hold, so the certificate takes them as they are, sorted by
+    key. ``build_amalgam`` copied the input classes, so none is the instance's.
     """
     while state.weight > 0:
         detach_step(state, hook=hook)
         if trace is not None:
             trace({"stage": "detach", "s": state.detached, "q": state.weight})
 
-    k = state.params.k
-    coloring = []
-    for (support, level), cls in sorted(state.classes.items()):
-        if level != 0:
-            raise InternalInvariantViolation(f"class {(support, level)} kept amalgam slots")
-        coloring.append(EdgeClass(support=support, amalgam=0, colors=cls.dense(k)))
+    keys = sorted(state.classes)
+    for key in keys:
+        if key[1] != 0:
+            raise InternalInvariantViolation(f"class {key} kept amalgam slots")
+    coloring = list(map(state.classes.__getitem__, keys))
     return Certificate(params=state.params, coloring=coloring, report=None)

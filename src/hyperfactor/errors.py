@@ -31,7 +31,7 @@ class InadmissibleParameters(HyperfactorError):
 
 
 class TooLarge(HyperfactorError):
-    """The dense state of these parameters would not fit in memory."""
+    """The state of these parameters could outgrow memory (see ``model.check_size``)."""
     exit_code, outcome = 2, "too_large"
 
 
@@ -81,14 +81,6 @@ class NegativeTopLevelQuota(HyperfactorError):
         super().__init__(f"color {color} needs {value} all-new edges")
         self.color = color
         self.value = value
-
-
-class NonIntegerColorQuota(HyperfactorError):
-    """r_j * n / h is not an integer; inadmissible parameters slipped through."""
-
-    def __init__(self, color: int):
-        super().__init__(f"color {color} has a non-integer edge quota")
-        self.color = color
 
 
 class InfeasibleTransport(HyperfactorError):

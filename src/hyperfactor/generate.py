@@ -23,14 +23,15 @@ def _try_random_coloring(params: Parameters, rng: random.Random):
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
     copies = [s for s in combinations(range(1, p.m + 1), p.h) for _ in range(p.lam)]
     rng.shuffle(copies)
-    counts: dict[tuple[int, ...], list[int]] = {}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
     for subset in copies:
         feasible = [j for j in range(p.k)
                     if all(degrees[v][j] < p.r[j] for v in subset)]
         if not feasible:
             return None
         j = rng.choice(feasible)
-        counts.setdefault(subset, [0] * p.k)[j] += 1
+        held = counts.setdefault(subset, {})
+        held[j] = held.get(j, 0) + 1
         for v in subset:
             degrees[v][j] += 1
     return counts
@@ -41,7 +42,7 @@ def _backtrack_coloring(params: Parameters, rng: random.Random, node_budget: int
     p = params
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
     copies = [s for s in combinations(range(1, p.m + 1), p.h) for _ in range(p.lam)]
-    counts: dict[tuple[int, ...], list[int]] = {}
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
     nodes = [0]
 
     def go(idx: int) -> bool:
@@ -54,13 +55,16 @@ def _backtrack_coloring(params: Parameters, rng: random.Random, node_budget: int
         feasible = [j for j in range(p.k)
                     if all(degrees[v][j] < p.r[j] for v in subset)]
         rng.shuffle(feasible)
+        held = counts.setdefault(subset, {})
         for j in feasible:
-            counts.setdefault(subset, [0] * p.k)[j] += 1
+            held[j] = held.get(j, 0) + 1
             for v in subset:
                 degrees[v][j] += 1
             if go(idx + 1):
                 return True
-            counts[subset][j] -= 1
+            held[j] -= 1
+            if not held[j]:
+                del held[j]   # instances keep no zero counts
             for v in subset:
                 degrees[v][j] -= 1
         return False

@@ -1,22 +1,25 @@
 """Instance/certificate model: types, admissibility, validation, serialization.
 
 Vertices are 1-based contiguous integers; colors are 1-based indices into the
-target-degree vector r. Edge copies are never materialized individually: all
-storage is (support, amalgam multiplicity) classes with per-color copy counts.
+target-degree vector r in documents and 0-based in memory. Edge copies are
+never materialized individually: all storage is (support, amalgam
+multiplicity) classes, ``EdgeClass``, each with a map from color to a nonzero
+copy count. Documents, the verifier and the pipeline's state share that one
+type, so every stage walks the colors a class holds, not all k.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, compress
-from operator import add
+from itertools import combinations
 
 from .combinatorics import binom
 from .errors import SchemaError, TooLarge
 
-# Cap on the dense state size C(n, h) * (k + 8): list slots of about 8 bytes
-# each, the 8 standing for one class's own overhead. The largest benchmark
-# workload (h=3, n=33, k=496) needs 2.75 M.
+# Cap on C(n, h) * (k + 8), a bound on the state in slots of about 8 bytes:
+# k for a class's color counts (it holds at most k nonzero ones) and 8 for its
+# own overhead; the per-vertex degree counters, n * k, fit under it too. The
+# largest benchmark workload (h=3, n=33, k=496) is charged 2.75 M.
 MAX_STATE_SLOTS = 50_000_000
 
 
@@ -27,7 +30,7 @@ class Parameters:
     Invariants: 2 <= h <= m < n, lam >= 1, and every target degree r_j >= 1.
     A zero target degree would be an empty color class; callers should drop
     it rather than carry it through the divisibility checks. Parameters whose
-    dense state would not fit in memory raise TooLarge (see ``check_size``).
+    state could outgrow memory raise TooLarge (see ``check_size``).
     """
 
     n: int
@@ -68,31 +71,35 @@ def exceeds_state_limit(scale: int, n: int, h: int) -> bool:
 
 
 def check_size(n: int, h: int, k: int) -> None:
-    """Raise TooLarge if the dense state, C(n, h) * (k + 8) slots, tops MAX_STATE_SLOTS."""
+    """Raise TooLarge if the state bound, C(n, h) * (k + 8) slots, tops MAX_STATE_SLOTS."""
     if exceeds_state_limit(k + 8, n, h):
         raise TooLarge(f"n={n}, h={h}, k={k}: C(n,h) * (k + 8) exceeds the state "
                        f"limit of {MAX_STATE_SLOTS} slots")
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeClass:
     """An orbit of edge copies: a support set plus amalgam-vertex slots.
 
     ``support`` is a strictly increasing vertex tuple, ``amalgam`` the number
     of edge slots sitting on the merged placeholder vertex, so
-    len(support) + amalgam equals the uniformity h. ``colors[j-1]`` counts
-    copies colored j, as a dense list of length k; ``uncolored`` counts
-    copies not yet colored. Instances and certificates hold these; the
-    pipeline's mid-run state uses the sparse ``amalgam.AmalgamClass``.
+    len(support) + amalgam equals the uniformity h. ``colors`` maps a 0-based
+    color index to the copies of that color and holds no zero entries, so a
+    class costs its nonzero counts, not k. ``uncolored`` counts copies not yet
+    colored. Instances, certificates and the pipeline's mid-run state all
+    hold this one type.
     """
 
     support: tuple[int, ...]
     amalgam: int
-    colors: list[int]
+    colors: dict[int, int]
     uncolored: int = 0
 
     def key(self) -> tuple[tuple[int, ...], int]:
         return (self.support, self.amalgam)
+
+    def total(self) -> int:
+        return sum(self.colors.values()) + self.uncolored
 
 
 @dataclass
@@ -137,20 +144,6 @@ def is_admissible(params: Parameters) -> bool:
     return sum(params.r) == params.lam * binom(n - 1, h - 1)
 
 
-def color_degrees(coloring: list[EdgeClass], k: int) -> dict[int, list[int]]:
-    """Per-vertex per-color copy counts over the ordinary vertices."""
-    degrees: dict[int, list[int]] = {}
-    for cls in coloring:
-        for v in cls.support:
-            if v not in degrees:
-                degrees[v] = [0] * k
-            row = degrees[v]
-            for j, cnt in enumerate(cls.colors):
-                if cnt:
-                    row[j] += cnt
-    return degrees
-
-
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check that the coloring covers exactly lambda K_m^h within degree caps.
 
@@ -171,16 +164,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
             problems.append(f"support size {len(cls.support)} != h={p.h}")
         if cls.support and (cls.support[0] < 1 or cls.support[-1] > p.m):
             problems.append(f"support not within [1, {p.m}]")
-        if len(cls.colors) != p.k:
-            problems.append(f"expected {p.k} color counts, got {len(cls.colors)}")
-        if any(c < 0 for c in cls.colors) or cls.uncolored < 0:
+        if not all(map(range(p.k).__contains__, cls.colors)):
+            problems.append(f"color index outside [0, {p.k})")
+        if any(c <= 0 for c in cls.colors.values()):
+            problems.append("zero or negative copy count")
+        if cls.uncolored < 0:
             problems.append("negative copy count")
         if cls.uncolored:
             problems.append(f"{cls.uncolored} uncolored copies")
         if problems:
             issues.append(ValidationIssue("malformed_class", f"class {idx}: " + "; ".join(problems)))
             continue
-        totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors)
+        totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors.values())
 
     if not issues:
         for subset in combinations(range(1, p.m + 1), p.h):
@@ -194,9 +189,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
         for subset in totals:
             issues.append(ValidationIssue("extra_edges", f"unexpected support {set(subset)}"))
 
-        degrees = color_degrees(inst.coloring, p.k)
-        for v in sorted(degrees):
-            for j, d in enumerate(degrees[v], start=1):
+        degrees = {v: [0] * p.k for v in range(1, p.m + 1)}   # every support is in [1, m]
+        for cls in inst.coloring:
+            for v in cls.support:
+                for j, cnt in cls.colors.items():
+                    degrees[v][j] += cnt
+        for v, row in degrees.items():
+            for j, d in enumerate(row, start=1):
                 if d > p.r[j - 1]:
                     issues.append(ValidationIssue(
                         "degree_cap_exceeded",
@@ -219,6 +218,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 _INSTANCE_KEYS = ("n", "m", "h", "lambda", "r", "edges")
 _EDGE_KEYS = ("support", "alpha", "colors")
+_EDGE_KEY_SET = frozenset(_EDGE_KEYS)
 
 
 def _require_int(value, location: str) -> int:
@@ -242,62 +242,85 @@ def _parse_params(doc: dict, location: str = "$") -> Parameters:
         raise SchemaError(str(exc), location) from exc
 
 
+class _BadField(Exception):
+    """A failed edge-entry check: the reason, and the field's path inside the entry."""
+
+
 def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeClass]:
+    """The edge classes of a document, merged per support, with no zero counts.
+
+    A failed check names the field's path inside its entry, and the full
+    ``$.edges[i]...`` location is formatted only then. JSON integers parse as
+    ``int`` and true/false as ``bool``, so ``type(v) is int`` is exactly
+    ``_require_int``'s test.
+    """
     edges_raw = doc["edges"]
     if not isinstance(edges_raw, list):
         raise SchemaError("expected a list", "$.edges")
 
-    merged: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    color_of: dict[str, int] = {}   # the color labels met so far, as 0-based colors
+    merged: dict[tuple[int, ...], dict[int, int]] = {}
     for idx, entry in enumerate(edges_raw):
-        loc = f"$.edges[{idx}]"
-        if not isinstance(entry, dict):
-            raise SchemaError("expected an object", loc)
-        unknown = set(entry) - set(_EDGE_KEYS)
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)}", loc)
-        for key in _EDGE_KEYS:
-            if key not in entry:
-                raise SchemaError(f"missing field {key!r}", loc)
+        try:
+            if type(entry) is not dict:
+                raise _BadField("expected an object", "")
+            if entry.keys() != _EDGE_KEY_SET:
+                unknown = set(entry) - _EDGE_KEY_SET
+                missing = [key for key in _EDGE_KEYS if key not in entry]
+                raise _BadField(f"unknown fields {sorted(unknown)}" if unknown
+                                else f"missing field {missing[0]!r}", "")
+            support = entry["support"]
+            if type(support) is not list:
+                raise _BadField("expected a list", ".support")
+            for i, v in enumerate(support):
+                if type(v) is not int:
+                    raise _BadField("expected an integer", f".support[{i}]")
+            for i, v in enumerate(support):
+                if v < 1 or v > max_vertex:
+                    raise _BadField(f"vertex {v} outside [1, {max_vertex}]", f".support[{i}]")
+            support = tuple(sorted(support))
+            if len(set(support)) != len(support):
+                raise _BadField("repeated vertex in support", ".support")
+            alpha = entry["alpha"]
+            if type(alpha) is not int:
+                raise _BadField("expected an integer", ".alpha")
+            if alpha != 0:
+                raise _BadField("alpha must be 0 in instance/certificate documents", ".alpha")
+            if len(support) != params.h:
+                raise _BadField(f"support size {len(support)} != h={params.h}", ".support")
+            colors = entry["colors"]
+            if type(colors) is not dict:
+                raise _BadField("expected an object", ".colors")
 
-        support_raw = entry["support"]
-        if not isinstance(support_raw, list):
-            raise SchemaError("expected a list", f"{loc}.support")
-        support_list = [_require_int(v, f"{loc}.support[{i}]") for i, v in enumerate(support_raw)]
-        for i, v in enumerate(support_list):
-            if v < 1 or v > max_vertex:
-                raise SchemaError(f"vertex {v} outside [1, {max_vertex}]", f"{loc}.support[{i}]")
-        support = tuple(sorted(support_list))
-        if len(set(support)) != len(support):
-            raise SchemaError("repeated vertex in support", f"{loc}.support")
+            counts = merged.get(support)
+            if counts is None:
+                counts = merged[support] = {}
+            for key, cnt in colors.items():
+                j = color_of.get(key)
+                if j is None:
+                    j = color_of[key] = _color_index(key, params.k)
+                if type(cnt) is not int:
+                    raise _BadField("expected an integer", f".colors[{key!r}]")
+                if cnt < 0:
+                    raise _BadField("negative copy count", f".colors[{key!r}]")
+                if cnt:
+                    counts[j] = counts.get(j, 0) + cnt
+        except _BadField as bad:
+            reason, path = bad.args
+            raise SchemaError(reason, f"$.edges[{idx}]{path}") from None
 
-        alpha = _require_int(entry["alpha"], f"{loc}.alpha")
-        if alpha != 0:
-            raise SchemaError("alpha must be 0 in instance/certificate documents", f"{loc}.alpha")
-        if len(support) != params.h:
-            raise SchemaError(f"support size {len(support)} != h={params.h}", f"{loc}.support")
+    return [EdgeClass(support=s, amalgam=0, colors=merged[s]) for s in sorted(merged) if merged[s]]
 
-        colors_raw = entry["colors"]
-        if not isinstance(colors_raw, dict):
-            raise SchemaError("expected an object", f"{loc}.colors")
-        counts = merged.setdefault((support, alpha), [0] * params.k)
-        for key, value in colors_raw.items():
-            cloc = f"{loc}.colors[{key!r}]"
-            try:
-                j = int(key)
-            except ValueError:
-                raise SchemaError("color keys must be base-10 integers", cloc) from None
-            if str(j) != key or not (1 <= j <= params.k):
-                raise SchemaError(f"color {key} outside [1, {params.k}]", cloc)
-            cnt = _require_int(value, cloc)
-            if cnt < 0:
-                raise SchemaError("negative copy count", cloc)
-            counts[j - 1] += cnt
 
-    return [
-        EdgeClass(support=s, amalgam=a, colors=counts)
-        for (s, a), counts in sorted(merged.items())
-        if sum(counts) > 0
-    ]
+def _color_index(key: str, k: int) -> int:
+    """The 0-based color of label ``key``: a canonical base-10 integer in [1, k]."""
+    try:
+        j = int(key)
+    except ValueError:
+        raise _BadField("color keys must be base-10 integers", f".colors[{key!r}]") from None
+    if str(j) != key or not (1 <= j <= k):
+        raise _BadField(f"color {key} outside [1, {k}]", f".colors[{key!r}]")
+    return j - 1
 
 
 def _parse_document(text: str, keys: tuple[str, ...]) -> dict:
@@ -336,20 +359,17 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def _edges_payload(coloring: list[EdgeClass]) -> list[dict]:
-    merged: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
     for cls in coloring:
-        counts = merged.get(cls.key())
-        merged[cls.key()] = cls.colors if counts is None else list(map(add, counts, cls.colors))
-    labels = [str(j) for j in range(1, max(map(len, merged.values()), default=0) + 1)]
+        key, more = cls.key(), cls.colors
+        counts = merged.get(key)
+        merged[key] = more if counts is None else {   # a repeated class: sum into a new map
+            j: counts.get(j, 0) + more.get(j, 0) for j in counts.keys() | more.keys()}
     payload = []
     for (support, alpha), counts in sorted(merged.items()):
-        if sum(counts) == 0:
-            continue
-        payload.append({
-            "support": list(support),
-            "alpha": alpha,
-            "colors": dict(zip(compress(labels, counts), filter(None, counts))),
-        })
+        colors = {str(j + 1): cnt for j, cnt in sorted(counts.items()) if cnt}
+        if colors:
+            payload.append({"support": list(support), "alpha": alpha, "colors": colors})
     return payload
 
 

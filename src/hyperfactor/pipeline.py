@@ -51,14 +51,13 @@ def single_edge_instance(params: Parameters) -> Instance:
     p = params
     if p.m != p.h:
         raise ValueError(f"single-edge seeding requires m == h, got m={p.m} h={p.h}")
-    counts = [0] * p.k
+    counts: dict[int, int] = {}
     left = p.lam
     for j in range(p.k):
-        take = min(left, p.r[j])
-        counts[j] = take
-        left -= take
         if left == 0:
             break
+        counts[j] = min(left, p.r[j])
+        left -= counts[j]
     if left:
         raise ValueError("degree caps cannot absorb the seed edge copies")
     support = tuple(range(1, p.h + 1))

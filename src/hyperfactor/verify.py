@@ -50,32 +50,26 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
 
     totals: dict[tuple[int, ...], int] = {}
     degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
+    is_vertex, is_color = range(1, p.n + 1).__contains__, range(p.k).__contains__
     for cls in cert.coloring:
+        colors = cls.colors
         if (cls.amalgam != 0 or len(cls.support) != p.h or cls.uncolored
-                or len(set(cls.support)) != p.h
-                or any(v < 1 or v > p.n for v in cls.support)):
+                or len(set(cls.support)) != p.h or not all(map(is_vertex, cls.support))
+                or not all(map(is_color, colors)) or min(colors.values(), default=1) < 1):
             fail("completeness", f"malformed class {cls.support} (amalgam={cls.amalgam})")
             continue
         support = tuple(sorted(cls.support))
-        count = sum(cls.colors)
-        totals[support] = totals.get(support, 0) + count
-        for j, cnt in enumerate(cls.colors):
-            if cnt:
-                for v in support:
-                    degrees[v][j] += cnt
+        totals[support] = totals.get(support, 0) + sum(colors.values())
+        for j, cnt in colors.items():
+            for v in support:
+                degrees[v][j] += cnt
 
-    restricted: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cls in cert.coloring:
-        if cls.support and cls.support[-1] <= p.m and len(cls.support) == p.h:
-            prev = restricted.get(cls.support, (0,) * p.k)
-            restricted[cls.support] = tuple(a + b for a, b in zip(prev, cls.colors))
-    given: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cls in inst.coloring:
-        prev = given.get(cls.support, (0,) * p.k)
-        given[cls.support] = tuple(a + b for a, b in zip(prev, cls.colors))
+    restricted = _summed_colors(cls for cls in cert.coloring
+                                if cls.support and cls.support[-1] <= p.m
+                                and len(cls.support) == p.h)
+    given = _summed_colors(inst.coloring)
     for support in sorted(set(given) | set(restricted)):
-        want = given.get(support, (0,) * p.k)
-        got = restricted.get(support, (0,) * p.k)
+        want, got = given.get(support, {}), restricted.get(support, {})
         if want != got:
             fail("extension",
                  f"{set(support)}: instance colors {want}, certificate colors {got}")
@@ -94,6 +88,17 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
                      f"expected {p.r[j]}")
 
     return VerifyReport(ok=not failures, failures=failures)
+
+
+def _summed_colors(coloring) -> dict[tuple[int, ...], dict[int, int]]:
+    """Per support, the summed counts as {1-based color: count}, ascending, zeros left out."""
+    summed: dict[tuple[int, ...], dict[int, int]] = {}
+    for cls in coloring:
+        counts = summed.setdefault(cls.support, {})
+        for j, cnt in cls.colors.items():
+            counts[j] = counts.get(j, 0) + cnt
+    return {support: {j + 1: cnt for j, cnt in sorted(counts.items()) if cnt}
+            for support, counts in summed.items()}
 
 
 class _Marker:
@@ -131,11 +136,10 @@ def brute_force_extend(inst: Instance, copy_budget: int = 60):
     degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
     used = [0] * p.k
     for cls in inst.coloring:
-        for j, cnt in enumerate(cls.colors):
-            if cnt:
-                used[j] += cnt
-                for v in cls.support:
-                    degrees[v][j] += cnt
+        for j, cnt in cls.colors.items():
+            used[j] += cnt
+            for v in cls.support:
+                degrees[v][j] += cnt
 
     subsets = [s for s in combinations(range(1, p.n + 1), p.h) if s[-1] > p.m]
     remaining = {s: p.lam for s in subsets}
@@ -184,12 +188,12 @@ def brute_force_extend(inst: Instance, copy_budget: int = 60):
     if not search():
         return EXHAUSTED
 
-    coloring = [EdgeClass(support=c.support, amalgam=0, colors=list(c.colors))
+    coloring = [EdgeClass(support=c.support, amalgam=0, colors=dict(c.colors))
                 for c in inst.coloring]
     for subset in subsets:
-        counts = [0] * p.k
+        counts: dict[int, int] = {}
         for j in assignment[subset]:
-            counts[j] += 1
+            counts[j] = counts.get(j, 0) + 1
         coloring.append(EdgeClass(support=subset, amalgam=0, colors=counts))
     coloring.sort(key=lambda c: c.key())
     return Certificate(params=p, coloring=coloring, report=None)

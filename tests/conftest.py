@@ -11,9 +11,7 @@ def make_instance(n, m, h, lam, r, colored_edges) -> Instance:
     params = Parameters(n=n, m=m, h=h, lam=lam, r=tuple(r))
     coloring = []
     for support, colors in sorted(colored_edges.items()):
-        counts = [0] * params.k
-        for j, cnt in colors.items():
-            counts[j - 1] += cnt
+        counts = {j - 1: cnt for j, cnt in colors.items()}
         coloring.append(EdgeClass(support=tuple(support), amalgam=0, colors=counts))
     return Instance(params=params, coloring=coloring)
 

@@ -91,10 +91,9 @@ def test_criterion_4_worked_example_regression(tmp_path):
 
         by_color = {1: set(), 2: set(), 3: set()}
         for cls in cert.coloring:
-            for j, cnt in enumerate(cls.colors, start=1):
-                if cnt:
-                    assert cnt == 1
-                    by_color[j].add(cls.support)
+            for j, cnt in cls.colors.items():
+                assert cnt == 1
+                by_color[j + 1].add(cls.support)
         for j, matching in by_color.items():
             assert len(matching) == 2
             assert sorted(v for e in matching for v in e) == [1, 2, 3, 4], j

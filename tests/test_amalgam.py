@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.amalgam import (
-    AmalgamClass,
     AmalgamState,
     DegreeTable,
     _color_class,
@@ -25,7 +24,7 @@ from hyperfactor.errors import (
     InvalidInstance,
 )
 from hyperfactor.generate import random_instance
-from hyperfactor.model import Parameters
+from hyperfactor.model import EdgeClass, Parameters
 
 from conftest import make_instance
 
@@ -69,7 +68,7 @@ class TestBuildAmalgam:
             build_amalgam(inst)
 
     def test_rejects_invalid_coloring(self, worked_instance):
-        worked_instance.coloring[0].colors = [0, 0, 0]
+        worked_instance.coloring[0].colors = {}
         with pytest.raises(InvalidInstance):
             build_amalgam(worked_instance)
 
@@ -168,7 +167,7 @@ class TestColorClass:
 
         state = AmalgamState(params=params, detached=0, classes={}, degrees=degrees,
                              level_done=0)
-        cls = AmalgamClass(support=support, amalgam=level, colors={}, uncolored=copies)
+        cls = EdgeClass(support=support, amalgam=level, colors={}, uncolored=copies)
         try:
             _color_class(state, cls, list(order))
             stuck = None
@@ -230,7 +229,7 @@ class TestAssignLevelH:
         for seed in range(3):
             params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
             inst = random_instance(params, seed=seed)
-            input_color = next(j for j, c in enumerate(inst.coloring[0].colors) if c)
+            input_color = next(iter(inst.coloring[0].colors))
             state = colored_state(inst, seed=seed)
             table = finish_levels(state)
             assign_level_h(state, table)

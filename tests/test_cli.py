@@ -136,7 +136,6 @@ class TestErrorMap:
         errors.InvalidInstance: (4, "error"),
         errors.GreedyStuck: (5, "greedy_stuck"),
         errors.NegativeTopLevelQuota: (5, "negative_quota"),
-        errors.NonIntegerColorQuota: (6, "error"),
         errors.InfeasibleTransport: (6, "infeasible"),
         errors.InternalInvariantViolation: (6, "error"),
         errors.GenerationFailed: (1, "gen_failed"),
@@ -289,6 +288,26 @@ def _kill_worker(cell):
     os._exit(3)
 
 
+_run_sweep_cell = cli.run_sweep_cell
+
+
+def _kill_worker_at_n8(cell):
+    """Run the cell; the cell with n = 8 kills its worker once the other five are done.
+
+    Each other cell leaves a file in $SWEEP_DONE_DIR when it finishes.
+    """
+    done_dir = os.environ["SWEEP_DONE_DIR"]
+    if cell[2] != 8:
+        row = _run_sweep_cell(cell)
+        open(os.path.join(done_dir, f"m{cell[1]}n{cell[2]}"), "w").close()
+        return row
+    deadline = time.monotonic() + 60
+    while len(os.listdir(done_dir)) < 5 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)   # the last finished row is on its way to the parent
+    os._exit(3)
+
+
 class TestSweep:
     def test_grid_csv(self, tmp_path, capsys):
         assert run_cli(["sweep", "--h", "2", "--m", "2..4", "--n", "2m..2m+4",
@@ -352,6 +371,19 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a sweep worker died"), err
 
+    def test_killed_worker_keeps_the_finished_rows(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "run_sweep_cell", _kill_worker_at_n8)
+        monkeypatch.setenv("SWEEP_DONE_DIR", str(tmp_path))
+        assert run_cli(["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2",
+                        "--jobs", "2"]) == 6
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(row["m"], row["n"], row["outcome"]) for row in rows] == [
+            ("2", "4", "ok"), ("2", "5", "inadmissible"), ("2", "6", "ok"),
+            ("3", "6", "ok"), ("3", "7", "inadmissible")]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a sweep worker died"), err
+
     def test_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "--seeds", "2"]
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -372,7 +404,7 @@ class TestBaranyai:
         cert = parse_certificate(out.read_text())
         assert cert.params.m == 2
         for j in range(cert.params.k):
-            edges = [c.support for c in cert.coloring if c.colors[j]]
+            edges = [c.support for c in cert.coloring if j in c.colors]
             assert sorted(v for e in edges for v in e) == list(range(1, 7))
 
     def test_k12_triple_system(self, tmp_path):

@@ -258,9 +258,8 @@ class TestDetachAll:
         cert = detach_all(state)
         by_color = {1: set(), 2: set(), 3: set()}
         for cls in cert.coloring:
-            for j, cnt in enumerate(cls.colors, start=1):
-                if cnt:
-                    by_color[j].add(cls.support)
+            for j in cls.colors:
+                by_color[j + 1].add(cls.support)
         assert by_color[1] == {(1, 2), (3, 4)}
         assert by_color[2] == {(1, 3), (2, 4)}
         assert by_color[3] == {(1, 4), (2, 3)}
@@ -273,7 +272,7 @@ class TestDetachAll:
         assert verify_certificate(cert, inst).ok
         # each color class is 3 pairwise disjoint triples covering [1,9]
         for j in range(28):
-            triples = [c.support for c in cert.coloring if c.colors[j]]
+            triples = [c.support for c in cert.coloring if j in c.colors]
             assert len(triples) == 3
             covered = sorted(v for t in triples for v in t)
             assert covered == list(range(1, 10))

@@ -25,7 +25,7 @@ class TestRandomInstance:
         for seed in range(5):
             inst = random_instance(params, seed=seed)
             assert validate_instance(inst).ok
-            assert sum(sum(c.colors) for c in inst.coloring) == binom(4, 3)
+            assert sum(c.total() for c in inst.coloring) == binom(4, 3)
 
     def test_doubled_mixed_r_instance_valid(self):
         params = Parameters(n=6, m=3, h=2, lam=2, r=(2, 2, 2, 2, 2))

@@ -10,6 +10,7 @@ from hyperfactor.combinatorics import binom
 from hyperfactor.errors import SchemaError
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
+    EdgeClass,
     Parameters,
     is_admissible,
     parse_certificate,
@@ -96,6 +97,20 @@ class TestValidateInstance:
         assert not report.ok
         assert report.issues[0].kind == "malformed_class"
 
+    @pytest.mark.parametrize("colors, problem", [
+        ({3: 1}, "color index outside [0, 3)"),
+        ({-1: 1}, "color index outside [0, 3)"),
+        ({0: 1, 1: 0}, "zero or negative copy count"),
+        ({0: 2, 1: -1}, "zero or negative copy count"),
+    ])
+    def test_color_map_breaking_the_invariant_is_malformed(self, colors, problem):
+        # A class's map holds 0-based colors in [0, k), each with a positive count.
+        inst = make_instance(4, 2, 2, 1, (1, 1, 1), {})
+        inst.coloring = [EdgeClass(support=(1, 2), amalgam=0, colors=colors)]
+        report = validate_instance(inst)
+        assert [issue.kind for issue in report.issues] == ["malformed_class"]
+        assert report.issues[0].detail == f"class 0: {problem}"
+
 
 WORKED_DOC = ('{"n":4,"m":2,"h":2,"lambda":1,"r":[1,1,1],'
               '"edges":[{"support":[1,2],"alpha":0,"colors":{"1":1}}]}\n')
@@ -165,7 +180,27 @@ class TestSerialization:
         ]
         inst = parse_instance(json.dumps(doc))
         assert len(inst.coloring) == 1
-        assert inst.coloring[0].colors == [2, 0, 0]
+        assert inst.coloring[0].colors == {0: 2}
+
+    def test_zero_count_parses_to_no_entry(self):
+        doc = WORKED_DOC.replace('{"1":1}', '{"1":1,"2":0}')
+        inst = parse_instance(doc)
+        assert inst.coloring[0].colors == {0: 1}
+        assert serialize_instance(inst) == WORKED_DOC
+
+    def test_class_with_only_zero_counts_is_dropped(self):
+        doc = json.loads(WORKED_DOC)
+        doc["edges"].append({"support": [3, 4], "alpha": 0, "colors": {"2": 0, "3": 0}})
+        doc["report"] = {}
+        cert = parse_certificate(json.dumps(doc))
+        assert [(c.support, c.colors) for c in cert.coloring] == [((1, 2), {0: 1})]
+
+    def test_repeated_classes_serialize_summed(self):
+        inst = make_instance(4, 2, 2, 2, (2, 2, 2), {(1, 2): {1: 1}})
+        inst.coloring.append(EdgeClass(support=(1, 2), amalgam=0, colors={0: 1, 2: 1}))
+        edges = json.loads(serialize_instance(inst))["edges"]
+        assert edges == [{"support": [1, 2], "alpha": 0, "colors": {"1": 2, "3": 1}}]
+        assert [c.colors for c in inst.coloring] == [{0: 1}, {0: 1, 2: 1}]   # left as they were
 
     def test_certificate_requires_report(self):
         with pytest.raises(SchemaError):
@@ -198,3 +233,43 @@ class TestSerialization:
         assert serialize_instance(again) == text
         assert again.params == inst.params
         assert [c.key() for c in again.coloring] == [c.key() for c in inst.coloring]
+
+
+class TestParseErrorLocations:
+    """Each kind of bad edge entry names its exact field; entry 0 is valid."""
+
+    @staticmethod
+    def error_for(bad_entry: dict) -> SchemaError:
+        doc = json.loads(WORKED_DOC)
+        doc["lambda"], doc["r"] = 2, [2, 2, 2]
+        doc["edges"].append(bad_entry)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(json.dumps(doc))
+        return err.value
+
+    @pytest.mark.parametrize("support, reason, location", [
+        ([1, "2"], "expected an integer", "$.edges[1].support[1]"),
+        ([True, 2], "expected an integer", "$.edges[1].support[0]"),
+        ([1, 3], "vertex 3 outside [1, 2]", "$.edges[1].support[1]"),
+        ([2, 2], "repeated vertex in support", "$.edges[1].support"),
+    ])
+    def test_support(self, support, reason, location):
+        err = self.error_for({"support": support, "alpha": 0, "colors": {"1": 1}})
+        assert (err.reason, err.location) == (reason, location)
+
+    def test_nonzero_alpha(self):
+        err = self.error_for({"support": [1, 2], "alpha": 1, "colors": {"1": 1}})
+        assert (err.reason, err.location) == (
+            "alpha must be 0 in instance/certificate documents", "$.edges[1].alpha")
+
+    @pytest.mark.parametrize("colors, reason, location", [
+        ({"01": 1}, "color 01 outside [1, 3]", "$.edges[1].colors['01']"),
+        ({"4": 1}, "color 4 outside [1, 3]", "$.edges[1].colors['4']"),
+        ({"0": 1}, "color 0 outside [1, 3]", "$.edges[1].colors['0']"),
+        ({"x": 1}, "color keys must be base-10 integers", "$.edges[1].colors['x']"),
+        ({"1": -1}, "negative copy count", "$.edges[1].colors['1']"),
+        ({"1": 1, "2": 1.5}, "expected an integer", "$.edges[1].colors['2']"),
+    ])
+    def test_colors(self, colors, reason, location):
+        err = self.error_for({"support": [1, 2], "alpha": 0, "colors": colors})
+        assert (err.reason, err.location) == (reason, location)

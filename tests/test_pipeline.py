@@ -13,6 +13,7 @@ from hyperfactor.model import (
     Parameters,
     parse_instance,
     serialize_certificate,
+    serialize_instance,
     validate_instance,
 )
 from hyperfactor.pipeline import extend_instance, single_edge_instance
@@ -46,6 +47,15 @@ class TestExtendInstance:
         for run_seed in (None, 1, 2):
             cert = extend_instance(inst, seed=run_seed)
             assert verify_certificate(cert, inst).ok
+
+    def test_instance_is_left_alone(self):
+        # The state copies each input class, so the certificate, built from
+        # the state's own classes, shares no color map with the instance.
+        inst = random_instance(Parameters(n=9, m=3, h=3, lam=2, r=(2,) * 28), seed=3)
+        before = serialize_instance(inst)
+        cert = extend_instance(inst)
+        assert serialize_instance(inst) == before
+        assert not {id(c.colors) for c in cert.coloring} & {id(c.colors) for c in inst.coloring}
 
     def test_trace_shapes(self, worked_instance):
         records = []
@@ -139,7 +149,7 @@ class TestSingleEdgeInstance:
         params = Parameters(n=6, m=2, h=2, lam=3, r=(2, 2, 2, 2, 1))
         inst = single_edge_instance(params)
         assert inst.coloring[0].support == (1, 2)
-        assert inst.coloring[0].colors == [2, 1, 0, 0, 0]
+        assert inst.coloring[0].colors == {0: 2, 1: 1}
         assert validate_instance(inst).ok
 
     def test_requires_m_equals_h(self):

@@ -13,9 +13,7 @@ def worked_certificate(inst) -> Certificate:
     pairs = {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): 3, (2, 3): 3}
     coloring = []
     for support, j in sorted(pairs.items()):
-        counts = [0, 0, 0]
-        counts[j - 1] = 1
-        coloring.append(EdgeClass(support=support, amalgam=0, colors=counts))
+        coloring.append(EdgeClass(support=support, amalgam=0, colors={j - 1: 1}))
     return Certificate(params=inst.params, coloring=coloring, report=None)
 
 
@@ -28,7 +26,7 @@ class TestVerifyCertificate:
     def test_recolored_edge_fails_regularity_at_two_vertices(self, worked_instance):
         cert = worked_certificate(worked_instance)
         cls = next(c for c in cert.coloring if c.support == (3, 4))
-        cls.colors = [0, 1, 0]   # repaint {3,4} from color 1 to color 2
+        cls.colors = {1: 1}   # repaint {3,4} from color 1 to color 2
         report = verify_certificate(cert, worked_instance)
         assert not report.ok
         regularity = [f for f in report.failures if f["kind"] == "regularity"]
@@ -47,9 +45,9 @@ class TestVerifyCertificate:
         cert = worked_certificate(worked_instance)
         for cls in cert.coloring:
             if cls.support == (1, 2):
-                cls.colors = [0, 0, 1]
+                cls.colors = {2: 1}
             elif cls.support == (1, 4):
-                cls.colors = [1, 0, 0]
+                cls.colors = {0: 1}
         report = verify_certificate(cert, worked_instance)
         assert any(f["kind"] == "extension" for f in report.failures)
 
