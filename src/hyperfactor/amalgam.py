@@ -1,11 +1,11 @@
 """Amalgamation stage: merge the missing vertices and color by level.
 
 All n - m future vertices are merged into a single placeholder (the
-"amalgam"). Every edge of lambda K_n^h then becomes a class (X, i): an
-(h-i)-subset X of the original vertices plus i amalgam slots, with
-lambda * C(n-m, i) copies. The input coloring covers level 0; levels
-1..h-1 are colored greedily under the per-vertex caps r_j; the level-h
-class is colored by forced per-color quotas.
+"amalgam"). Every edge of lambda K_n^h then falls in a class (X, i): an
+(h-i)-subset X of the original vertices plus i amalgam slots, which holds
+lambda * C(n-m, i) copies once colored. The input coloring covers level 0;
+levels 1..h-1 are colored greedily under the per-vertex caps r_j; the
+level-h class takes forced per-color quotas, the amalgam's degree deficit / h.
 """
 from __future__ import annotations
 
@@ -27,20 +27,16 @@ ClassKey = tuple[tuple[int, ...], int]
 
 
 class DegreeTable:
-    """Per-color degree counters for ordinary vertices and the amalgam.
+    """Per-color degree counters for the original vertices and the amalgam.
 
-    For an ordinary vertex the entry counts edge copies containing it; for
-    the amalgam it sums the amalgam multiplicities of colored copies.
+    For an original vertex the entry counts edge copies containing it; for
+    the amalgam it sums the amalgam multiplicities of colored copies. A
+    detached vertex gets no row, since no stage reads one.
     """
 
     def __init__(self, num_vertices: int, k: int):
         self.ordinary: dict[int, list[int]] = {v: [0] * k for v in range(1, num_vertices + 1)}
         self.amalgam: list[int] = [0] * k
-
-    def add_vertex(self) -> int:
-        v = len(self.ordinary) + 1
-        self.ordinary[v] = [0] * len(self.amalgam)
-        return v
 
 
 @dataclass
@@ -49,7 +45,7 @@ class AmalgamState:
 
     ``classes`` holds one ``EdgeClass`` per class key, the type documents use
     too, each with its sparse ``{color: count}`` map; the degree counters stay
-    dense, one list of length k per vertex.
+    dense, one list of length k per original vertex and one for the amalgam.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
     ``weight`` is the number of vertices still merged into the amalgam.
     ``level_done`` tracks the highest fully colored amalgam level, enforcing
@@ -69,7 +65,7 @@ class AmalgamState:
     def check(self) -> None:
         """Assert the invariant of a fully colored state at weight q, in one pass.
 
-        Every class (X, i) holds exactly lambda * C(q, i) copies, all colored.
+        Every class (X, i) holds exactly lambda * C(q, i) copies.
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
         which must equal the amalgam counter, which must equal r_j * q.
         """
@@ -79,10 +75,9 @@ class AmalgamState:
         weighted = [0] * p.k
         for key, cls in self.classes.items():
             level = key[1]
-            if cls.uncolored or sum(cls.colors.values()) != per_level[level]:
+            if cls.total() != per_level[level]:
                 raise InternalInvariantViolation(
-                    f"class {key} holds {cls.total()} copies ({cls.uncolored} uncolored),"
-                    f" expected {per_level[level]}")
+                    f"class {key} holds {cls.total()} copies, expected {per_level[level]}")
             if level:
                 for j, cnt in cls.colors.items():
                     weighted[j] += level * cnt
@@ -101,12 +96,12 @@ class AmalgamState:
 
 
 def build_amalgam(inst: Instance) -> AmalgamState:
-    """Validate the instance and attach all uncolored amalgam classes.
+    """Validate the instance and attach all amalgam classes, still uncolored.
 
     For each level i in [1, h] and each (h-i)-subset X of [1, m], the class
-    (X, i) starts with lambda * C(n-m, i) uncolored copies (classes whose
-    count is zero are skipped). Each input class is copied, so the state
-    never shares a ``colors`` map with the instance it extends.
+    (X, i) starts with no colors; it is skipped when lambda * C(n-m, i), the
+    copies it will hold, is zero. Input classes are summed per support into
+    new maps, so the state never shares a ``colors`` map with the instance.
     """
     p = inst.params
     if not is_admissible(p):
@@ -115,53 +110,50 @@ def build_amalgam(inst: Instance) -> AmalgamState:
     if not report.ok:
         raise InvalidInstance(report)
 
-    degrees = DegreeTable(p.m, p.k)
-    classes: dict[ClassKey, EdgeClass] = {}
+    state = AmalgamState(params=p, detached=0, classes={}, degrees=DegreeTable(p.m, p.k),
+                         level_done=0)
     for cls in inst.coloring:
-        colors = dict(cls.colors)
-        classes[cls.key()] = EdgeClass(support=cls.support, amalgam=0, colors=colors)
-        for v in cls.support:
-            row = degrees.ordinary[v]
-            for j, cnt in colors.items():
+        colors = state.get_class(cls.support, 0).colors   # a repeated support sums in
+        rows = [state.degrees.ordinary[v] for v in cls.support]
+        for j, cnt in cls.colors.items():
+            colors[j] = colors.get(j, 0) + cnt
+            for row in rows:
                 row[j] += cnt
 
     for level in range(1, p.h + 1):
-        mult = p.lam * binom(p.n - p.m, level)
-        if mult == 0:
-            continue
-        for support in combinations(range(1, p.m + 1), p.h - level):
-            classes[(support, level)] = EdgeClass(
-                support=support, amalgam=level, colors={}, uncolored=mult)
-
-    return AmalgamState(params=p, detached=0, classes=classes, degrees=degrees, level_done=0)
+        if binom(p.n - p.m, level):
+            for support in combinations(range(1, p.m + 1), p.h - level):
+                state.classes[(support, level)] = EdgeClass(
+                    support=support, amalgam=level, colors={})
+    return state
 
 
-def _color_class(state: AmalgamState, cls: EdgeClass, color_order: list[int]) -> None:
-    """Batch-assign all copies of one class under the degree caps.
+def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[int]) -> None:
+    """Batch-assign ``copies`` copies of one class under the degree caps.
 
-    Walks ``color_order`` once and gives each color min(residual, copies
+    Walks ``order`` once and gives each color min(residual, copies
     left), where the residual is min_x (r_j - deg_j(x)) over the support.
     Degrees only grow while the class is colored, so a color with no
     residual never regains one, and a single pass matches the copy-by-copy
-    greedy with the same preference order.
+    greedy with the same preference order. Copies left raise GreedyStuck.
     """
     r = state.params.r
     rows = [state.degrees.ordinary[v] for v in cls.support]
     amalgam = state.degrees.amalgam
     colors = cls.colors
-    for j in color_order:
-        if not cls.uncolored:
+    for j in order:
+        if not copies:
             return
         residual = r[j] - max(row[j] for row in rows)
         if residual <= 0:
             continue
-        take = min(residual, cls.uncolored)
+        take = min(residual, copies)
         colors[j] = colors.get(j, 0) + take
-        cls.uncolored -= take
+        copies -= take
         for row in rows:
             row[j] += take
         amalgam[j] += cls.amalgam * take
-    if cls.uncolored:
+    if copies:
         raise GreedyStuck(cls.support, cls.amalgam)
 
 
@@ -180,6 +172,7 @@ def greedy_color_level(state: AmalgamState, level: int,
         raise InternalInvariantViolation(
             f"level {level} colored after level {state.level_done}")
 
+    copies = p.lam * binom(p.n - p.m, level)
     pending = sorted(key for key in state.classes if key[1] == level)
     if rng is not None:
         rng.shuffle(pending)
@@ -190,20 +183,22 @@ def greedy_color_level(state: AmalgamState, level: int,
             rng.shuffle(order)
         else:
             order = base_order
-        _color_class(state, state.classes[key], order)
+        _color_class(state, state.classes[key], copies, order)
 
     state.level_done = level
     return state
 
 
-def finish_levels(state: AmalgamState) -> list[list[int]]:
-    """Check exact saturation after the last greedy level and tally counts.
+def finish_levels(state: AmalgamState) -> list[int]:
+    """Check exact saturation after the last greedy level; return the top quotas.
 
-    Once levels 1..h-1 are colored, every ordinary vertex must sit at degree
+    Once levels 1..h-1 are colored, every original vertex must sit at degree
     exactly r_j in every color (its total capacity equals its total edge
-    count). Returns the level-by-color table t with rows 0..h, where
-    t[i][j-1] counts level-i copies colored j; row h is left zero for
-    ``assign_level_h``.
+    count). With t_ij the level-i copies of color j, saturation makes the m
+    original vertices carry sum (h - i) * t_ij = r_j * m, and the amalgam
+    counter holds a_j = sum i * t_ij. Color j needs r_j * n / h copies in
+    all, so its level-h quota is (r_j * (n - m) - a_j) / h. A quota may be
+    negative; ``assign_level_h`` rejects it.
     """
     p = state.params
     if state.level_done != p.h - 1:
@@ -216,56 +211,36 @@ def finish_levels(state: AmalgamState) -> list[list[int]]:
                 raise InternalInvariantViolation(
                     f"vertex {v} has degree {d} in color {j + 1}, expected {p.r[j]}")
 
-    table = [[0] * p.k for _ in range(p.h + 1)]
-    for (support, level), cls in state.classes.items():
-        if level >= p.h:
-            continue
-        if cls.uncolored:
-            raise InternalInvariantViolation(f"class {(support, level)} still uncolored")
-        row = table[level]
-        for j, cnt in cls.colors.items():
-            row[j] += cnt
-
-    for j in range(p.k):
-        weighted = sum((p.h - i) * table[i][j] for i in range(p.h))
-        if weighted != p.r[j] * p.m:
+    quotas = []
+    for j, (rj, a) in enumerate(zip(p.r, state.degrees.amalgam), start=1):
+        quota, rest = divmod(rj * (p.n - p.m) - a, p.h)
+        if rest:
             raise InternalInvariantViolation(
-                f"color {j + 1}: level counts weigh {weighted}, expected r_j*m={p.r[j] * p.m}")
-    return table
+                f"color {j}: amalgam degree deficit {rj * (p.n - p.m) - a} not divisible by h")
+        quotas.append(quota)
+    return quotas
 
 
-def assign_level_h(state: AmalgamState, table: list[list[int]]) -> AmalgamState:
+def assign_level_h(state: AmalgamState, quotas: list[int]) -> AmalgamState:
     """Color the all-amalgam class by its forced per-color quotas.
 
-    Each color class of the final factorization has exactly r_j * n / h edge
-    copies, so t[h][j] = r_j * n / h - sum_i t[i][j] is forced. Each quota
-    must be a nonnegative integer and the quotas must total
-    lambda * C(n-m, h). Ends with ``state.check()``: the amalgam sits at
-    degree r_j * (n - m) in every color and every class is fully colored.
+    ``quotas[j]`` is what ``finish_levels`` returns: the copies of color j
+    the class ((), h) must take. Each must be nonnegative. Ends with
+    ``state.check()``: the amalgam sits at degree r_j * (n - m) in every
+    color and every class holds all its copies.
     """
     p = state.params
     if state.level_done != p.h - 1:
         raise InternalInvariantViolation("assign_level_h before all greedy levels")
 
-    for j in range(p.k):
-        table[p.h][j] = (p.r[j] * p.n) // p.h - sum(table[i][j] for i in range(p.h))
-        if table[p.h][j] < 0:
-            raise NegativeTopLevelQuota(j + 1, table[p.h][j])
-
-    expected_total = p.lam * binom(p.n - p.m, p.h)
-    if sum(table[p.h]) != expected_total:
-        raise InternalInvariantViolation(
-            f"top-level quotas total {sum(table[p.h])}, expected {expected_total}")
-
-    if expected_total:
-        cls = state.get_class((), p.h)
-        if cls.uncolored != expected_total:
-            raise InternalInvariantViolation(
-                f"top-level class has {cls.uncolored} copies, expected {expected_total}")
-        cls.colors = {j: cnt for j, cnt in enumerate(table[p.h]) if cnt}
-        cls.uncolored = 0
-        for j in range(p.k):
-            state.degrees.amalgam[j] += p.h * table[p.h][j]
+    for j, quota in enumerate(quotas, start=1):
+        if quota < 0:
+            raise NegativeTopLevelQuota(j, quota)
+    top = {j: quota for j, quota in enumerate(quotas) if quota}
+    if top:
+        state.get_class((), p.h).colors = top
+        for j, quota in top.items():
+            state.degrees.amalgam[j] += p.h * quota
 
     state.level_done = p.h
     state.check()

@@ -21,6 +21,7 @@ from .combinatorics import binom, bound_holds
 from .errors import (
     BadArgument,
     BelowBound,
+    GreedyStuck,
     HyperfactorError,
     InadmissibleParameters,
     InternalInvariantViolation,
@@ -148,7 +149,7 @@ def _run_extension(inst: Instance, args, forced_below_bound: bool) -> int:
     trace = _stderr_trace if args.trace else None
     try:
         cert = extend_instance(inst, seed=args.seed, trace=trace)
-    except NegativeTopLevelQuota as exc:
+    except (GreedyStuck, NegativeTopLevelQuota) as exc:
         if forced_below_bound:
             raise
         raise InternalInvariantViolation(str(exc)) from exc   # impossible above the bound

@@ -48,11 +48,10 @@ class TransportationProblem:
 class DetachPlan:
     """Integral donation plan, parallel to the problem's cells.
 
-    ``moves[c][t]`` copies of ``rows[c]`` in color ``tp.colors[c][t]`` go to
-    the new vertex; ``moves[c]`` has one entry per entry of ``tp.caps[c]``.
+    ``moves[c][t]`` copies of ``tp.rows[c]`` in color ``tp.colors[c][t]`` go
+    to the new vertex; ``moves[c]`` has one entry per entry of ``tp.caps[c]``.
     """
 
-    rows: list[ClassKey]
     moves: list[list[int]]
 
 
@@ -176,7 +175,7 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
         raise InfeasibleTransport(f"max flow {got} < required {want}", tp)
     cell_residual = iter(residual[2 * num_rows::2])
     moves = [[cap - left for cap, left in zip(row_caps, cell_residual)] for row_caps in tp.caps]
-    return DetachPlan(rows=tp.rows, moves=moves)
+    return DetachPlan(moves=moves)
 
 
 def _check_plan(tp: TransportationProblem, plan: DetachPlan) -> None:
@@ -215,8 +214,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     if hook is not None:
         hook(state, tp, plan)
 
-    new_vertex = state.degrees.add_vertex()
-    new_row = state.degrees.ordinary[new_vertex]
+    new_vertex = state.params.m + state.detached + 1
     amalgam = state.degrees.amalgam
     for key, row_colors, moves in zip(tp.rows, tp.colors, plan.moves):
         cls = state.classes[key]
@@ -233,7 +231,6 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 else:
                     del colors[j]   # the state keeps no zero counts
                 target[j] = target.get(j, 0) + moved
-                new_row[j] += moved
                 amalgam[j] -= moved
         if cls.total() == 0:
             del state.classes[key]

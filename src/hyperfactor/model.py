@@ -85,21 +85,20 @@ class EdgeClass:
     of edge slots sitting on the merged placeholder vertex, so
     len(support) + amalgam equals the uniformity h. ``colors`` maps a 0-based
     color index to the copies of that color and holds no zero entries, so a
-    class costs its nonzero counts, not k. ``uncolored`` counts copies not yet
-    colored. Instances, certificates and the pipeline's mid-run state all
-    hold this one type.
+    class costs its nonzero counts, not k. Every copy a class holds is
+    colored: a class still to be colored has an empty map. Instances,
+    certificates and the pipeline's mid-run state all hold this one type.
     """
 
     support: tuple[int, ...]
     amalgam: int
     colors: dict[int, int]
-    uncolored: int = 0
 
     def key(self) -> tuple[tuple[int, ...], int]:
         return (self.support, self.amalgam)
 
     def total(self) -> int:
-        return sum(self.colors.values()) + self.uncolored
+        return sum(self.colors.values())
 
 
 @dataclass
@@ -168,10 +167,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
             problems.append(f"color index outside [0, {p.k})")
         if any(c <= 0 for c in cls.colors.values()):
             problems.append("zero or negative copy count")
-        if cls.uncolored < 0:
-            problems.append("negative copy count")
-        if cls.uncolored:
-            problems.append(f"{cls.uncolored} uncolored copies")
         if problems:
             issues.append(ValidationIssue("malformed_class", f"class {idx}: " + "; ".join(problems)))
             continue

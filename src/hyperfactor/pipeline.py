@@ -36,8 +36,7 @@ def extend_instance(inst: Instance, seed: int | None = None,
         greedy_color_level(state, level, rng=rng)
         if trace is not None:
             trace({"stage": "level", "i": level})
-    table = finish_levels(state)
-    assign_level_h(state, table)
+    assign_level_h(state, finish_levels(state))
     return detach_all(state, trace=trace, hook=hook)
 
 

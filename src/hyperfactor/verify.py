@@ -53,7 +53,7 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
     is_vertex, is_color = range(1, p.n + 1).__contains__, range(p.k).__contains__
     for cls in cert.coloring:
         colors = cls.colors
-        if (cls.amalgam != 0 or len(cls.support) != p.h or cls.uncolored
+        if (cls.amalgam != 0 or len(cls.support) != p.h
                 or len(set(cls.support)) != p.h or not all(map(is_vertex, cls.support))
                 or not all(map(is_color, colors)) or min(colors.values(), default=1) < 1):
             fail("completeness", f"malformed class {cls.support} (amalgam={cls.amalgam})")

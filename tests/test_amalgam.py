@@ -16,15 +16,19 @@ from hyperfactor.amalgam import (
     finish_levels,
     greedy_color_level,
 )
-from hyperfactor.combinatorics import binom
+from hyperfactor.cli import build_r_vector
+from hyperfactor.combinatorics import binom, bound_holds
 from hyperfactor.errors import (
+    GenerationFailed,
     GreedyStuck,
     InadmissibleParameters,
     InternalInvariantViolation,
     InvalidInstance,
 )
 from hyperfactor.generate import random_instance
-from hyperfactor.model import EdgeClass, Parameters
+from hyperfactor.model import EdgeClass, Instance, Parameters, is_admissible
+from hyperfactor.pipeline import extend_instance
+from hyperfactor.verify import verify_certificate
 
 from conftest import make_instance
 
@@ -41,26 +45,48 @@ class TestBuildAmalgam:
     def test_worked_example_classes(self, worked_instance):
         state = build_amalgam(worked_instance)
         assert state.weight == 2
-        assert state.classes[((1,), 1)].uncolored == 2   # lambda * C(2,1)
-        assert state.classes[((2,), 1)].uncolored == 2
-        assert state.classes[((), 2)].uncolored == 1     # lambda * C(2,2)
+        assert set(state.classes) == {((1, 2), 0), ((1,), 1), ((2,), 1), ((), 2)}
         assert state.classes[((1, 2), 0)].colors == {0: 1}
+        state = colored_state(worked_instance)
+        assign_level_h(state, finish_levels(state))
+        assert state.classes[((1,), 1)].total() == 2   # lambda * C(2,1)
+        assert state.classes[((2,), 1)].total() == 2
+        assert state.classes[((), 2)].total() == 1     # lambda * C(2,2)
 
     def test_new_copy_total_matches_vandermonde(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
         inst = random_instance(params, seed=3)
-        state = build_amalgam(inst)
-        new_copies = sum(c.uncolored for c in state.classes.values())
+        state = colored_state(inst)
+        assign_level_h(state, finish_levels(state))
+        new_copies = sum(c.total() for key, c in state.classes.items() if key[1])
         assert new_copies == binom(9, 3) - binom(3, 3) == 83
 
     def test_multiplicity_linear_in_lambda(self):
-        single = build_amalgam(random_instance(
-            Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28), seed=1))
-        double = build_amalgam(random_instance(
-            Parameters(n=9, m=3, h=3, lam=2, r=(1,) * 56), seed=1))
+        def ready(params):
+            state = colored_state(random_instance(params, seed=1))
+            return assign_level_h(state, finish_levels(state))
+
+        single = ready(Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28))
+        double = ready(Parameters(n=9, m=3, h=3, lam=2, r=(1,) * 56))
+        assert single.classes.keys() == double.classes.keys()
         for key, cls in single.classes.items():
             if key[1] >= 1:
-                assert double.classes[key].uncolored == 2 * cls.uncolored
+                assert double.classes[key].total() == 2 * cls.total()
+
+    def test_repeated_support_is_summed(self):
+        # lambda = 2: split the first class into two one-copy classes of the
+        # same support; validate_instance sums them, and so must the state.
+        inst = random_instance(Parameters(n=6, m=3, h=2, lam=2, r=(2,) * 5), seed=0)
+        first = inst.coloring[0]
+        halves = [EdgeClass(support=first.support, amalgam=0, colors={j: 1})
+                  for j, cnt in first.colors.items() for _ in range(cnt)]
+        assert len(halves) == 2
+        split = Instance(params=inst.params, coloring=halves + inst.coloring[1:])
+        state = build_amalgam(split)
+        assert state.classes[first.key()].colors == first.colors
+        cert = extend_instance(split)
+        assert verify_certificate(cert, split).ok
+        assert cert.coloring == extend_instance(inst).coloring
 
     def test_rejects_inadmissible(self):
         inst = make_instance(5, 2, 2, 1, (1, 1, 1, 1), {(1, 2): {1: 1}})
@@ -167,23 +193,23 @@ class TestColorClass:
 
         state = AmalgamState(params=params, detached=0, classes={}, degrees=degrees,
                              level_done=0)
-        cls = EdgeClass(support=support, amalgam=level, colors={}, uncolored=copies)
+        cls = EdgeClass(support=support, amalgam=level, colors={})
         try:
-            _color_class(state, cls, list(order))
+            _color_class(state, cls, copies, list(order))
             stuck = None
         except GreedyStuck as exc:
             stuck = (exc.support, exc.level)
-        assert (cls.colors, degrees.ordinary, cls.uncolored) == want
+        assert (cls.colors, degrees.ordinary, copies - cls.total()) == want
         assert stuck == ((support, level) if want[2] else None)
         assert degrees.amalgam == [level * cls.colors.get(j, 0) for j in range(k)]
 
 
 class TestFinishLevels:
     def test_worked_example_table(self, worked_instance):
+        # Level counts per color: level 0 (1, 0, 0), level 1 (0, 2, 2); each
+        # color has r_j * n / h = 2 copies in all.
         state = colored_state(worked_instance)
-        table = finish_levels(state)
-        assert table[0] == [1, 0, 0]
-        assert table[1] == [0, 2, 2]
+        assert finish_levels(state) == [1, 0, 0]
 
     def test_total_degree_identity(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
@@ -204,13 +230,52 @@ class TestFinishLevels:
         with pytest.raises(InternalInvariantViolation):
             finish_levels(state)
 
+    def test_quota_is_the_amalgam_deficit(self):
+        # Reference: r_j * n / h minus the level-i < h copies of color j,
+        # tallied from the classes. Below the bound the greedy runs seeded and
+        # may leave negative quotas, which finish_levels still returns.
+        checked = negative = 0
+        for (h, m), extra, lam, r_pattern in product(
+                ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)), range(1, 8), (1, 2, 3),
+                ("ones", "uniform:2", "uniform:3")):
+            n = m + extra
+            try:
+                params = Parameters(n=n, m=m, h=h, lam=lam,
+                                    r=build_r_vector(r_pattern, n, h, lam))
+            except InadmissibleParameters:
+                continue
+            if not is_admissible(params):
+                continue
+            below = not bound_holds(n, m, h)
+            for seed in range(3) if below else (None,):
+                try:
+                    state = colored_state(random_instance(params, seed=seed or 0), seed=seed)
+                except (GenerationFailed, GreedyStuck):
+                    continue
+                placed = [0] * params.k
+                for (_, level), cls in state.classes.items():
+                    if level < h:
+                        for j, cnt in cls.colors.items():
+                            placed[j] += cnt
+                quotas = finish_levels(state)
+                assert quotas == [rj * n // h - t for rj, t in zip(params.r, placed)], params
+                checked += len(quotas)
+                negative += sum(quota < 0 for quota in quotas)
+        assert checked > 1000 and negative > 0, (checked, negative)
+
+    def test_tampered_amalgam_degree_rejected(self, worked_instance):
+        state = colored_state(worked_instance)
+        state.degrees.amalgam[1] += 1
+        with pytest.raises(InternalInvariantViolation, match=r"^color 2: amalgam degree deficit"):
+            finish_levels(state)
+
 
 class TestAssignLevelH:
     def test_worked_example_quota(self, worked_instance):
         state = colored_state(worked_instance)
-        table = finish_levels(state)
-        assign_level_h(state, table)
-        assert table[2] == [1, 0, 0]
+        quotas = finish_levels(state)
+        assign_level_h(state, quotas)
+        assert quotas == [1, 0, 0]
         assert state.classes[((), 2)].colors == {0: 1}
         assert state.degrees.amalgam == [2, 2, 2]   # r_j * (n - m)
 
@@ -231,9 +296,9 @@ class TestAssignLevelH:
             inst = random_instance(params, seed=seed)
             input_color = next(iter(inst.coloring[0].colors))
             state = colored_state(inst, seed=seed)
-            table = finish_levels(state)
-            assign_level_h(state, table)
-            assert sum(table[3]) == binom(6, 3) == 20
-            for j, t in enumerate(table[3]):
+            quotas = finish_levels(state)
+            assign_level_h(state, quotas)
+            assert sum(quotas) == binom(6, 3) == 20
+            for j, t in enumerate(quotas):
                 assert t in ((2,) if j == input_color else (0, 1))
             assert state.degrees.amalgam == [6] * 28

@@ -31,6 +31,10 @@ def run_cli(args):
     return cli.main(args)
 
 
+def _stuck_greedy(state, level, rng=None):
+    raise errors.GreedyStuck((1,), level)
+
+
 class TestExitCodes:
     def test_exit_0_on_success(self, worked_path, tmp_path):
         out = tmp_path / "cert.json"
@@ -123,6 +127,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(detach, "solve_transportation", broken)
         assert run_cli(["extend", worked_path]) == 6
+
+    @pytest.mark.parametrize("name, broken", [
+        ("greedy_color_level", _stuck_greedy),
+        ("finish_levels", lambda state: [-1, 1, 2]),   # assign_level_h rejects the -1
+    ], ids=["greedy_stuck", "negative_quota"])
+    def test_exit_6_when_stuck_above_the_bound(self, worked_path, monkeypatch, capsys,
+                                               name, broken):
+        from hyperfactor import pipeline
+
+        monkeypatch.setattr(pipeline, name, broken)
+        assert run_cli(["extend", worked_path]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestErrorMap:
