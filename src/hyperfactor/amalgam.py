@@ -5,7 +5,8 @@ All n - m future vertices are merged into a single placeholder (the
 (h-i)-subset X of the original vertices plus i amalgam slots, which holds
 lambda * C(n-m, i) copies once colored. The input coloring covers level 0;
 levels 1..h-1 are colored greedily under the per-vertex caps r_j; the
-level-h class takes forced per-color quotas, the amalgam's degree deficit / h.
+level-h class takes forced per-color quotas, r_j * n / h minus the copies of
+color j already placed. The amalgam's degree is read off the classes.
 """
 from __future__ import annotations
 
@@ -26,36 +27,23 @@ from .model import EdgeClass, Instance, Parameters, is_admissible, validate_inst
 ClassKey = tuple[tuple[int, ...], int]
 
 
-class DegreeTable:
-    """Per-color degree counters for the original vertices and the amalgam.
-
-    For an original vertex the entry counts edge copies containing it; for
-    the amalgam it sums the amalgam multiplicities of colored copies. A
-    detached vertex gets no row, since no stage reads one.
-    """
-
-    def __init__(self, num_vertices: int, k: int):
-        self.ordinary: dict[int, list[int]] = {v: [0] * k for v in range(1, num_vertices + 1)}
-        self.amalgam: list[int] = [0] * k
-
-
 @dataclass
 class AmalgamState:
     """The colored hypergraph mid-pipeline.
 
     ``classes`` holds one ``EdgeClass`` per class key, the type documents use
-    too, each with its sparse ``{color: count}`` map; the degree counters stay
-    dense, one list of length k per original vertex and one for the amalgam.
-    ``detached`` counts already-split vertices (ids m+1..m+detached);
-    ``weight`` is the number of vertices still merged into the amalgam.
-    ``level_done`` tracks the highest fully colored amalgam level, enforcing
-    the ascending-level discipline.
+    too, each with its sparse ``{color: count}`` map. ``degrees`` maps each
+    original vertex 1..m to its dense per-color degrees; only the greedy
+    levels and ``finish_levels`` read it. ``detached`` counts already-split
+    vertices (ids m+1..m+detached); ``weight`` is the number of vertices
+    still merged into the amalgam. ``level_done`` tracks the highest fully
+    colored amalgam level, enforcing the ascending-level discipline.
     """
 
     params: Parameters
     detached: int
     classes: dict[ClassKey, EdgeClass]
-    degrees: DegreeTable
+    degrees: dict[int, list[int]]
     level_done: int
 
     @property
@@ -67,7 +55,7 @@ class AmalgamState:
 
         Every class (X, i) holds exactly lambda * C(q, i) copies.
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
-        which must equal the amalgam counter, which must equal r_j * q.
+        the amalgam's degree, which must equal r_j * q.
         """
         p = self.params
         q = self.weight
@@ -81,10 +69,10 @@ class AmalgamState:
             if level:
                 for j, cnt in cls.colors.items():
                     weighted[j] += level * cnt
-        for j, (w, d, rj) in enumerate(zip(weighted, self.degrees.amalgam, p.r), start=1):
-            if not w == d == rj * q:
+        for j, (w, rj) in enumerate(zip(weighted, p.r), start=1):
+            if w != rj * q:
                 raise InternalInvariantViolation(
-                    f"color {j}: live classes weigh {w}, amalgam degree {d}, expected {rj * q}")
+                    f"color {j}: live classes weigh {w}, expected {rj * q}")
 
     def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)
@@ -110,11 +98,11 @@ def build_amalgam(inst: Instance) -> AmalgamState:
     if not report.ok:
         raise InvalidInstance(report)
 
-    state = AmalgamState(params=p, detached=0, classes={}, degrees=DegreeTable(p.m, p.k),
-                         level_done=0)
+    state = AmalgamState(params=p, detached=0, classes={},
+                         degrees={v: [0] * p.k for v in range(1, p.m + 1)}, level_done=0)
     for cls in inst.coloring:
         colors = state.get_class(cls.support, 0).colors   # a repeated support sums in
-        rows = [state.degrees.ordinary[v] for v in cls.support]
+        rows = [state.degrees[v] for v in cls.support]
         for j, cnt in cls.colors.items():
             colors[j] = colors.get(j, 0) + cnt
             for row in rows:
@@ -138,8 +126,7 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
     greedy with the same preference order. Copies left raise GreedyStuck.
     """
     r = state.params.r
-    rows = [state.degrees.ordinary[v] for v in cls.support]
-    amalgam = state.degrees.amalgam
+    rows = [state.degrees[v] for v in cls.support]
     colors = cls.colors
     for j in order:
         if not copies:
@@ -152,7 +139,6 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
         copies -= take
         for row in rows:
             row[j] += take
-        amalgam[j] += cls.amalgam * take
     if copies:
         raise GreedyStuck(cls.support, cls.amalgam)
 
@@ -194,40 +180,37 @@ def finish_levels(state: AmalgamState) -> list[int]:
 
     Once levels 1..h-1 are colored, every original vertex must sit at degree
     exactly r_j in every color (its total capacity equals its total edge
-    count). With t_ij the level-i copies of color j, saturation makes the m
-    original vertices carry sum (h - i) * t_ij = r_j * m, and the amalgam
-    counter holds a_j = sum i * t_ij. Color j needs r_j * n / h copies in
-    all, so its level-h quota is (r_j * (n - m) - a_j) / h. A quota may be
-    negative; ``assign_level_h`` rejects it.
+    count). Color j of an r_j-factor of lambda K_n^h has r_j * n / h copies
+    (an integer by admissibility, which ``build_amalgam`` checked), so its
+    level-h quota is that minus the copies of color j the classes already
+    hold. A quota may be negative; ``assign_level_h`` rejects it.
     """
     p = state.params
     if state.level_done != p.h - 1:
         raise InternalInvariantViolation(
             f"finish_levels called with level_done={state.level_done}, expected {p.h - 1}")
 
-    for v, row in state.degrees.ordinary.items():
+    for v, row in state.degrees.items():
         for j, d in enumerate(row):
             if d != p.r[j]:
                 raise InternalInvariantViolation(
                     f"vertex {v} has degree {d} in color {j + 1}, expected {p.r[j]}")
 
-    quotas = []
-    for j, (rj, a) in enumerate(zip(p.r, state.degrees.amalgam), start=1):
-        quota, rest = divmod(rj * (p.n - p.m) - a, p.h)
-        if rest:
-            raise InternalInvariantViolation(
-                f"color {j}: amalgam degree deficit {rj * (p.n - p.m) - a} not divisible by h")
-        quotas.append(quota)
-    return quotas
+    placed = [0] * p.k
+    for cls in state.classes.values():
+        for j, cnt in cls.colors.items():
+            placed[j] += cnt
+    return [rj * p.n // p.h - t for rj, t in zip(p.r, placed)]
 
 
 def assign_level_h(state: AmalgamState, quotas: list[int]) -> AmalgamState:
     """Color the all-amalgam class by its forced per-color quotas.
 
     ``quotas[j]`` is what ``finish_levels`` returns: the copies of color j
-    the class ((), h) must take. Each must be nonnegative. Ends with
-    ``state.check()``: the amalgam sits at degree r_j * (n - m) in every
-    color and every class holds all its copies.
+    the class ((), h) must take. Each must be nonnegative. Writes only that
+    class and ends with ``state.check()``: the classes weigh r_j * (n - m)
+    in every color, the amalgam's degree, and every class holds all its
+    copies.
     """
     p = state.params
     if state.level_done != p.h - 1:
@@ -239,8 +222,6 @@ def assign_level_h(state: AmalgamState, quotas: list[int]) -> AmalgamState:
     top = {j: quota for j, quota in enumerate(quotas) if quota}
     if top:
         state.get_class((), p.h).colors = top
-        for j, quota in top.items():
-            state.degrees.amalgam[j] += p.h * quota
 
     state.level_done = p.h
     state.check()

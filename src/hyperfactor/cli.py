@@ -222,7 +222,7 @@ def cmd_sweep(args) -> int:
     try:
         h_values, m_span, n_span, lam_values = map(parse_span, (args.h, args.m, args.n, args.lam))
     except ValueError as exc:
-        raise SchemaError(str(exc), "sweep grid") from None
+        raise BadArgument(f"sweep grid: {exc}") from None
     cells = [(h, m, n, lam, args.r, seed, args.force)
              for h in h_values(0)
              for m in m_span(0)

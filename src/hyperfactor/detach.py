@@ -63,9 +63,10 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     witness: each class (X, i) holds lambda * C(q, i) copies, and
     q * lambda * C(q-1, i-1) = i * lambda * C(q, i), so the point
     x[c][j] = caps[c][j] * i_c / q meets its row supply; its column sums
-    are the amalgam counter r_j * q divided by q. Row supplies are the
-    Pascal-forced lambda * C(q-1, i-1); here only their balance against
-    lambda * C(n-1, h-1) = sum_j r_j is checked.
+    are the classes' weight r_j * q divided by q. It also means every live
+    class holds a copy, as the apply loop deletes a class it empties. Row
+    supplies are the Pascal-forced lambda * C(q-1, i-1); here only their
+    balance against sum_j r_j is checked.
     """
     p = state.params
     q = state.weight
@@ -76,10 +77,10 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
 
     donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     classes = state.classes
-    rows = [key for key in sorted(filter(itemgetter(1), classes)) if classes[key].total()]
+    rows = sorted(filter(itemgetter(1), classes))
     supplies = [donation[key[1]] for key in rows]
     total_supply, total_demand = sum(supplies), sum(p.r)
-    if total_supply != total_demand or total_demand != p.lam * binom(p.n - 1, p.h - 1):
+    if total_supply != total_demand:
         raise InternalInvariantViolation(f"supply {total_supply} != demand {total_demand}")
 
     held = [classes[key].colors for key in rows]
@@ -204,8 +205,9 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     The new vertex takes id m + detached + 1. For every row c = (X, i) and
     cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
     copies of the same color. Afterwards the new vertex has degree exactly
-    r_j per color (the plan's column sums), and ``state.check()`` confirms
-    that the amalgam dropped to r_j * (q - 1) and every class (S, i) holds
+    r_j per color (the plan's column sums). The step writes nothing but
+    classes, and ``state.check()`` confirms that the live classes now weigh
+    r_j * (q - 1) in every color and every class (S, i) holds
     lambda * C(q - 1, i) copies.
     """
     tp = build_transportation(state)
@@ -215,7 +217,6 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
         hook(state, tp, plan)
 
     new_vertex = state.params.m + state.detached + 1
-    amalgam = state.degrees.amalgam
     for key, row_colors, moves in zip(tp.rows, tp.colors, plan.moves):
         cls = state.classes[key]
         colors = cls.colors
@@ -231,7 +232,6 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 else:
                     del colors[j]   # the state keeps no zero counts
                 target[j] = target.get(j, 0) + moved
-                amalgam[j] -= moved
         if cls.total() == 0:
             del state.classes[key]
 

@@ -15,6 +15,8 @@ from .model import (
 )
 
 _SEED_STRIDE = 1_000_003
+_MAX_RESTARTS = 40      # seeded greedy passes before the backtracking fallback
+_NODE_BUDGET = 50_000   # search nodes the backtracking fallback may visit
 
 
 def _try_random_coloring(params: Parameters, rng: random.Random):
@@ -37,7 +39,7 @@ def _try_random_coloring(params: Parameters, rng: random.Random):
     return counts
 
 
-def _backtrack_coloring(params: Parameters, rng: random.Random, node_budget: int):
+def _backtrack_coloring(params: Parameters, rng: random.Random):
     """Bounded fallback search; copy order fixed, color order shuffled per node."""
     p = params
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
@@ -49,7 +51,7 @@ def _backtrack_coloring(params: Parameters, rng: random.Random, node_budget: int
         if idx == len(copies):
             return True
         nodes[0] += 1
-        if nodes[0] > node_budget:
+        if nodes[0] > _NODE_BUDGET:
             return False
         subset = copies[idx]
         feasible = [j for j in range(p.k)
@@ -72,8 +74,7 @@ def _backtrack_coloring(params: Parameters, rng: random.Random, node_budget: int
     return counts if go(0) else None
 
 
-def random_instance(params: Parameters, seed: int = 0,
-                    max_restarts: int = 40, node_budget: int = 50_000) -> Instance:
+def random_instance(params: Parameters, seed: int = 0) -> Instance:
     """Produce a uniformly scrambled valid instance for the parameters.
 
     Colors the lambda * C(m, h) copies of lambda K_m^h in seeded random
@@ -89,16 +90,16 @@ def random_instance(params: Parameters, seed: int = 0,
                        f"edge copies exceed the state limit of {MAX_STATE_SLOTS}")
 
     counts = None
-    for attempt in range(max_restarts):
+    for attempt in range(_MAX_RESTARTS):
         rng = random.Random(seed * _SEED_STRIDE + attempt)
         counts = _try_random_coloring(params, rng)
         if counts is not None:
             break
     if counts is None:
-        rng = random.Random(seed * _SEED_STRIDE + max_restarts)
-        counts = _backtrack_coloring(params, rng, node_budget)
+        rng = random.Random(seed * _SEED_STRIDE + _MAX_RESTARTS)
+        counts = _backtrack_coloring(params, rng)
     if counts is None:
-        raise GenerationFailed(f"no valid coloring found after {max_restarts} restarts")
+        raise GenerationFailed(f"no valid coloring found after {_MAX_RESTARTS} restarts")
 
     coloring = [EdgeClass(support=s, amalgam=0, colors=c)
                 for s, c in sorted(counts.items())]

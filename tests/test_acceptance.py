@@ -164,10 +164,12 @@ class InstrumentedChecks:
         p = state.params
         q = Fraction(state.weight)
         ok = True
-        for j in range(p.k):
-            ok &= state.degrees.amalgam[j] == p.r[j] * q
+        weight = [0] * p.k
         for (support, level), cls in state.classes.items():
             ok &= cls.total() == p.lam * binom(state.weight, level)
+            for j, cnt in cls.colors.items():
+                weight[j] += level * cnt
+        ok &= all(weight[j] == p.r[j] * q for j in range(p.k))
         # Each row lists its held colors, ascending, with parallel caps and
         # moves; a color it does not hold has cap 0 and moves nothing.
         col_sums = [Fraction(0)] * p.k

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from hyperfactor.amalgam import (
     AmalgamState,
-    DegreeTable,
     _color_class,
     assign_level_h,
     build_amalgam,
@@ -31,6 +30,15 @@ from hyperfactor.pipeline import extend_instance
 from hyperfactor.verify import verify_certificate
 
 from conftest import make_instance
+
+
+def amalgam_degree(state):
+    """Per color, sum i * count_j over the classes (X, i), tallied here."""
+    weight = [0] * state.params.k
+    for (_, level), cls in state.classes.items():
+        for j, cnt in cls.colors.items():
+            weight[j] += level * cnt
+    return weight
 
 
 def colored_state(inst, seed=None):
@@ -128,7 +136,7 @@ class TestGreedyColorLevel:
         assert state.classes[((1,), 1)].colors == {1: 1, 2: 1}
         assert state.classes[((2,), 1)].colors == {1: 1, 2: 1}
         for v in (1, 2):
-            assert state.degrees.ordinary[v] == [1, 1, 1]
+            assert state.degrees[v] == [1, 1, 1]
 
     def test_lowest_color_first_with_slack(self):
         # uneven caps: copies fill color 1's residual before touching color 2
@@ -138,14 +146,14 @@ class TestGreedyColorLevel:
         assert state.classes[((1,), 1)].colors == {0: 1, 1: 2, 2: 1}
         assert state.classes[((2,), 1)].colors == {0: 1, 1: 2, 2: 1}
         for v in (1, 2):
-            assert state.degrees.ordinary[v] == [3, 2, 1]
+            assert state.degrees[v] == [3, 2, 1]
 
     def test_caps_never_exceeded_during_seeded_runs(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
         for seed in range(5):
             inst = random_instance(params, seed=seed)
             state = colored_state(inst, seed=seed)
-            for v, row in state.degrees.ordinary.items():
+            for v, row in state.degrees.items():
                 for j, d in enumerate(row):
                     assert d <= params.r[j]
 
@@ -184,12 +192,11 @@ class TestColorClass:
         support = tuple(sorted(data.draw(
             st.lists(st.integers(1, 4), min_size=3 - level, max_size=3 - level, unique=True),
             label="support")))
-        degrees = DegreeTable(params.m, k)
-        for v in degrees.ordinary:
-            degrees.ordinary[v] = [data.draw(st.integers(0, rj), label=f"deg {v}") for rj in r]
+        degrees = {v: [data.draw(st.integers(0, rj), label=f"deg {v}") for rj in r]
+                   for v in range(1, params.m + 1)}
         copies = data.draw(st.integers(0, 12), label="copies")
         order = data.draw(st.permutations(range(k)), label="order")
-        want = copy_by_copy_greedy(r, degrees.ordinary, support, copies, order)
+        want = copy_by_copy_greedy(r, degrees, support, copies, order)
 
         state = AmalgamState(params=params, detached=0, classes={}, degrees=degrees,
                              level_done=0)
@@ -199,9 +206,8 @@ class TestColorClass:
             stuck = None
         except GreedyStuck as exc:
             stuck = (exc.support, exc.level)
-        assert (cls.colors, degrees.ordinary, copies - cls.total()) == want
+        assert (cls.colors, degrees, copies - cls.total()) == want
         assert stuck == ((support, level) if want[2] else None)
-        assert degrees.amalgam == [level * cls.colors.get(j, 0) for j in range(k)]
 
 
 class TestFinishLevels:
@@ -215,14 +221,14 @@ class TestFinishLevels:
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
         state = colored_state(random_instance(params, seed=4), seed=4)
         finish_levels(state)
-        for v, row in state.degrees.ordinary.items():
+        for v, row in state.degrees.items():
             assert sum(row) == params.lam * binom(8, 2)
 
     def test_saturation_reached_on_full_run(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
         state = colored_state(random_instance(params, seed=5), seed=5)
         finish_levels(state)   # raises if any degree != r_j
-        for row in state.degrees.ordinary.values():
+        for row in state.degrees.values():
             assert row == [1] * 28
 
     def test_incomplete_levels_rejected(self, worked_instance):
@@ -231,9 +237,10 @@ class TestFinishLevels:
             finish_levels(state)
 
     def test_quota_is_the_amalgam_deficit(self):
-        # Reference: r_j * n / h minus the level-i < h copies of color j,
-        # tallied from the classes. Below the bound the greedy runs seeded and
-        # may leave negative quotas, which finish_levels still returns.
+        # Reference: the amalgam's degree deficit over h,
+        # (r_j * (n - m) - sum i * count_j) / h, tallied from the classes; h
+        # must divide it. Below the bound the greedy runs seeded and may leave
+        # negative quotas, which finish_levels still returns.
         checked = negative = 0
         for (h, m), extra, lam, r_pattern in product(
                 ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4)), range(1, 8), (1, 2, 3),
@@ -252,22 +259,19 @@ class TestFinishLevels:
                     state = colored_state(random_instance(params, seed=seed or 0), seed=seed)
                 except (GenerationFailed, GreedyStuck):
                     continue
-                placed = [0] * params.k
-                for (_, level), cls in state.classes.items():
-                    if level < h:
-                        for j, cnt in cls.colors.items():
-                            placed[j] += cnt
+                deficits = [rj * (n - m) - a for rj, a in zip(params.r, amalgam_degree(state))]
+                assert all(d % h == 0 for d in deficits), params
                 quotas = finish_levels(state)
-                assert quotas == [rj * n // h - t for rj, t in zip(params.r, placed)], params
+                assert quotas == [d // h for d in deficits], params
                 checked += len(quotas)
                 negative += sum(quota < 0 for quota in quotas)
         assert checked > 1000 and negative > 0, (checked, negative)
 
     def test_tampered_amalgam_degree_rejected(self, worked_instance):
         state = colored_state(worked_instance)
-        state.degrees.amalgam[1] += 1
-        with pytest.raises(InternalInvariantViolation, match=r"^color 2: amalgam degree deficit"):
-            finish_levels(state)
+        state.classes[((1,), 1)].colors[0] = 1
+        with pytest.raises(InternalInvariantViolation, match=r"^class \(\(1,\), 1\) holds 3 copies"):
+            assign_level_h(state, finish_levels(state))
 
 
 class TestAssignLevelH:
@@ -277,14 +281,14 @@ class TestAssignLevelH:
         assign_level_h(state, quotas)
         assert quotas == [1, 0, 0]
         assert state.classes[((), 2)].colors == {0: 1}
-        assert state.degrees.amalgam == [2, 2, 2]   # r_j * (n - m)
+        assert amalgam_degree(state) == [2, 2, 2]   # r_j * (n - m)
 
     def test_ends_with_the_state_check(self, worked_instance):
         state = colored_state(worked_instance)
         table = finish_levels(state)
         state.classes[((1,), 1)].colors = {1: 2}   # was {1: 1, 2: 1}: same total
         with pytest.raises(InternalInvariantViolation,
-                           match=r"^color 2: live classes weigh 3, amalgam degree 2"):
+                           match=r"^color 2: live classes weigh 3, expected 2"):
             assign_level_h(state, table)
 
     def test_quota_total_is_new_only_edge_count(self):
@@ -301,4 +305,4 @@ class TestAssignLevelH:
             assert sum(quotas) == binom(6, 3) == 20
             for j, t in enumerate(quotas):
                 assert t in ((2,) if j == input_color else (0, 1))
-            assert state.degrees.amalgam == [6] * 28
+            assert amalgam_degree(state) == [6] * 28

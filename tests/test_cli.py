@@ -346,6 +346,11 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out.strip() == ",".join(cli.CSV_COLUMNS)
 
+    def test_bad_span_exits_2(self, capsys):
+        assert run_cli(["sweep", "--h", "x", "--m", "2", "--n", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: sweep grid: cannot parse span endpoint 'x'"]
+
     def test_forced_below_bound_outcomes(self, tmp_path, capsys):
         assert run_cli(["sweep", "--h", "2", "--m", "4", "--n", "6", "--seeds", "1",
                         "--force"]) == 0

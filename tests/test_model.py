@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import binom
-from hyperfactor.errors import SchemaError
+from hyperfactor.errors import SchemaError, TooLarge
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
+    Certificate,
     EdgeClass,
     Parameters,
     is_admissible,
@@ -19,6 +20,7 @@ from hyperfactor.model import (
     serialize_instance,
     validate_instance,
 )
+from hyperfactor.pipeline import extend_instance
 
 from conftest import make_instance
 
@@ -273,3 +275,75 @@ class TestParseErrorLocations:
     def test_colors(self, colors, reason, location):
         err = self.error_for({"support": [1, 2], "alpha": 0, "colors": colors})
         assert (err.reason, err.location) == (reason, location)
+
+
+def nested_paths(node, path=()):
+    """The path of every value below ``node``: dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from nested_paths(value, path + (key,))
+
+
+# One value of each JSON kind; the hypothesis test draws more of each.
+FIXED_REPLACEMENTS = (0, -1, 10**40, True, False, None, "", "1", [], [1, 2], {}, {"1": 1})
+REPLACEMENTS = st.one_of(
+    st.sampled_from([0, -1, 10**40]), st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(-1, 5), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2))
+
+
+def replaced(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def parse_raises_only_documented_errors(parse, doc):
+    try:
+        parse(json.dumps(doc))
+    except (SchemaError, TooLarge):
+        pass
+
+
+class TestStrictParserFuzz:
+    """A document with any nested value replaced raises only a documented error.
+
+    SchemaError is exit 4 and TooLarge exit 2; anything else escaping the
+    parser would be a traceback.
+    """
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        inst = parse_instance(WORKED_DOC)
+        cert = extend_instance(inst)
+        cert = Certificate(params=cert.params, coloring=cert.coloring,
+                           report={"pass": True, "failures": []})
+        return {parse_instance: json.loads(WORKED_DOC),
+                parse_certificate: json.loads(serialize_certificate(cert))}
+
+    def test_every_single_replacement(self, documents):
+        for parse, doc in documents.items():
+            for path in nested_paths(doc):
+                for value in FIXED_REPLACEMENTS:
+                    parse_raises_only_documented_errors(parse, replaced(doc, path, value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_replaced_values_raise_only_documented_errors(self, documents, data):
+        parse = data.draw(st.sampled_from(list(documents)))
+        doc = documents[parse]
+        for _ in range(data.draw(st.integers(1, 3), label="replacements")):
+            path = data.draw(st.sampled_from(list(nested_paths(doc))), label="path")
+            doc = replaced(doc, path, data.draw(REPLACEMENTS, label="value"))
+        parse_raises_only_documented_errors(parse, doc)

@@ -1,6 +1,8 @@
 """Unit tests for the verifier and the brute-force oracle."""
 from __future__ import annotations
 
+import pytest
+
 from hyperfactor.generate import random_instance
 from hyperfactor.model import Certificate, EdgeClass, Parameters
 from hyperfactor.pipeline import extend_instance
@@ -61,6 +63,55 @@ class TestVerifyCertificate:
         report = verify_certificate(cert, other)
         assert not report.ok
         assert report.failures[0]["kind"] == "extension"
+
+
+def perturbed(cert, idx, colors) -> Certificate:
+    """``cert`` with class ``idx`` holding ``colors``; a class left empty is dropped."""
+    coloring = list(cert.coloring)
+    if colors:
+        coloring[idx] = EdgeClass(support=coloring[idx].support, amalgam=0, colors=colors)
+    else:
+        del coloring[idx]
+    return Certificate(params=cert.params, coloring=coloring, report=None)
+
+
+class TestPerturbation:
+    """Every one-copy change to a valid certificate fails with the right kinds.
+
+    Dropping a copy breaks completeness and regularity; moving a copy to
+    another color breaks regularity only. Either breaks extension exactly
+    when the class's support lies inside [1, m].
+    """
+
+    @pytest.mark.parametrize("n, m, h, lam, r", [
+        (8, 4, 2, 1, (2, 2, 1, 1, 1)),
+        (9, 3, 3, 1, (1,) * 28),
+        (6, 3, 2, 2, (1,) * 10),
+    ])
+    def test_one_copy_changes_are_caught(self, n, m, h, lam, r):
+        inst = random_instance(Parameters(n=n, m=m, h=h, lam=lam, r=r), seed=1)
+        cert = extend_instance(inst)
+        assert verify_certificate(cert, inst).ok
+
+        def kinds(idx, colors):
+            report = verify_certificate(perturbed(cert, idx, colors), inst)
+            return {failure["kind"] for failure in report.failures}
+
+        for idx, cls in enumerate(cert.coloring):
+            inside = cls.support[-1] <= m
+            for j, cnt in cls.colors.items():
+                dropped = {**cls.colors, j: cnt - 1}
+                if cnt == 1:
+                    del dropped[j]
+                got = kinds(idx, dropped)
+                assert {"completeness", "regularity"} <= got, (cls, j)
+                assert ("extension" in got) == inside, (cls, j)
+                for other in range(len(r)):
+                    if other != j:
+                        moved = {**dropped, other: dropped.get(other, 0) + 1}
+                        got = kinds(idx, moved)
+                        assert "regularity" in got and "completeness" not in got, (cls, j, other)
+                        assert ("extension" in got) == inside, (cls, j, other)
 
 
 class TestBruteForceExtend:
