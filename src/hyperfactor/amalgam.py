@@ -11,8 +11,9 @@ color j already placed. The amalgam's degree is read off the classes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import chain, combinations
+from operator import attrgetter
 
 from .combinatorics import binom
 from .errors import (
@@ -32,12 +33,16 @@ class AmalgamState:
     """The colored hypergraph mid-pipeline.
 
     ``classes`` holds one ``EdgeClass`` per class key, the type documents use
-    too, each with its sparse ``{color: count}`` map. ``degrees`` maps each
-    original vertex 1..m to its dense per-color degrees; only the greedy
-    levels and ``finish_levels`` read it. ``detached`` counts already-split
-    vertices (ids m+1..m+detached); ``weight`` is the number of vertices
-    still merged into the amalgam. ``level_done`` tracks the highest fully
-    colored amalgam level, enforcing the ascending-level discipline.
+    too, each with its sparse ``{color: count}`` map; it is the one map of
+    every class. ``live`` indexes the keys of the classes with amalgam slots,
+    in creation order, and ``finished`` lists the level-0 classes, which no
+    later step changes; ``get_class`` and the detach step's delete keep both
+    in step with ``classes``. ``degrees`` maps each original vertex 1..m to
+    its dense per-color degrees; only the greedy levels and
+    ``finish_levels`` read it. ``detached`` counts already-split vertices
+    (ids m+1..m+detached); ``weight`` is the number of vertices still merged
+    into the amalgam. ``level_done`` tracks the highest fully colored
+    amalgam level, enforcing the ascending-level discipline.
     """
 
     params: Parameters
@@ -45,6 +50,8 @@ class AmalgamState:
     classes: dict[ClassKey, EdgeClass]
     degrees: dict[int, list[int]]
     level_done: int
+    live: dict[ClassKey, None] = field(default_factory=dict)
+    finished: list[EdgeClass] = field(default_factory=list)
 
     @property
     def weight(self) -> int:
@@ -55,20 +62,26 @@ class AmalgamState:
 
         Every class (X, i) holds exactly lambda * C(q, i) copies.
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
-        the amalgam's degree, which must equal r_j * q.
+        the amalgam's degree, which must equal r_j * q. The finished classes
+        are recounted at C speed and scanned only to name one that is off.
         """
         p = self.params
         q = self.weight
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
+        classes, live, finished = self.classes, self.live, self.finished
+        if len(live) + len(finished) != len(classes):
+            raise InternalInvariantViolation(
+                f"{len(classes)} classes, but {len(live)} live and {len(finished)} finished")
+        totals = set(map(sum, map(dict.values, map(attrgetter("colors"), finished))))
+        suspects = finished if totals - {per_level[0]} else []
         weighted = [0] * p.k
-        for key, cls in self.classes.items():
-            level = key[1]
+        for cls in chain(suspects, map(classes.__getitem__, live)):
+            level = cls.amalgam
             if cls.total() != per_level[level]:
                 raise InternalInvariantViolation(
-                    f"class {key} holds {cls.total()} copies, expected {per_level[level]}")
-            if level:
-                for j, cnt in cls.colors.items():
-                    weighted[j] += level * cnt
+                    f"class {cls.key()} holds {cls.total()} copies, expected {per_level[level]}")
+            for j, cnt in cls.colors.items():
+                weighted[j] += level * cnt
         for j, (w, rj) in enumerate(zip(weighted, p.r), start=1):
             if w != rj * q:
                 raise InternalInvariantViolation(
@@ -78,8 +91,11 @@ class AmalgamState:
         key = (support, amalgam)
         cls = self.classes.get(key)
         if cls is None:
-            cls = EdgeClass(support=support, amalgam=amalgam, colors={})
-            self.classes[key] = cls
+            cls = self.classes[key] = EdgeClass(support=support, amalgam=amalgam, colors={})
+            if amalgam:
+                self.live[key] = None
+            else:
+                self.finished.append(cls)
         return cls
 
 
@@ -111,8 +127,7 @@ def build_amalgam(inst: Instance) -> AmalgamState:
     for level in range(1, p.h + 1):
         if binom(p.n - p.m, level):
             for support in combinations(range(1, p.m + 1), p.h - level):
-                state.classes[(support, level)] = EdgeClass(
-                    support=support, amalgam=level, colors={})
+                state.get_class(support, level)
     return state
 
 

@@ -7,18 +7,18 @@ lambda * C(q-1, i-1) of them to the new vertex, keeping lambda * C(q-1, i)
 The only freedom is how each class's donation distributes over colors:
 an integral transportation problem with row supplies, column demands and
 cell capacities. The fractional point x[c][j] = cap[c][j] * i_c / q always
-satisfies it exactly, so an integral solution exists. An iterative Dinic
-max-flow with one arc per nonzero cell, in a fixed order, finds it. The
-problem is read straight off the live rows (classes with amalgam slots):
-each row is its class's colors and nonzero counts, two parallel lists, so a
-step touches no cell a class does not hold. A step checks the plan, applies
-it, and ends with ``AmalgamState.check``, which also covers the witness the
-next step relies on.
+satisfies it exactly, so an integral solution exists. Dinic's max-flow finds
+it, run on the rows and colors themselves rather than on an arc graph: its
+first phase is a greedy pass over the rows, and later phases reroute flow
+through the rows that already send a color copies. The problem is read
+straight off the live rows (classes with amalgam slots): each row is its
+class's colors and nonzero counts, two parallel lists, so a step touches no
+cell a class does not hold. A step checks the plan, applies it, and ends with
+``AmalgamState.check``, which also covers the witness the next step relies on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
@@ -77,7 +77,7 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
 
     donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     classes = state.classes
-    rows = sorted(filter(itemgetter(1), classes))
+    rows = sorted(state.live)
     supplies = [donation[key[1]] for key in rows]
     total_supply, total_demand = sum(supplies), sum(p.r)
     if total_supply != total_demand:
@@ -90,92 +90,122 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
                                  colors=colors, caps=caps)
 
 
-def _max_flow(num_nodes: int, tails: list[int], heads: list[int], caps: list[int],
-              source: int, sink: int) -> tuple[int, list[int]]:
-    """Dinic's max-flow; returns the flow value and the residual capacities.
+def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: list[int],
+                 col_left: list[int], holders: list[set[tuple[int, int]]]) -> bool:
+    """Push one Dinic blocking flow; False if the sink is out of reach.
 
-    Arc 2a runs tails[a] -> heads[a], arc 2a + 1 is its reverse, and every
-    node lists its arcs in that order. The iterative DFS finds the same paths
-    as a recursive one that restarts from the source after each push and
-    moves a node past an arc once it is saturated or leads to a dead end.
+    Rows are nodes 0..R-1 and colors R..R+k-1; the source and the sink are
+    implicit. ``holders[j]`` holds the (row, index) cells that send color j
+    flow: its residual arcs back to rows. A row resumes its scan where it
+    stopped: a cell that leads a level up only gains flow in the phase, so
+    the scan passes over just what a per-node arc list would have popped.
     """
-    to, cap = [0] * (2 * len(heads)), [0] * (2 * len(heads))
-    to[0::2], to[1::2], cap[0::2] = heads, tails, caps
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for a, (u, v) in enumerate(zip(tails, heads)):
-        adj[u].append(2 * a)
-        adj[v].append(2 * a + 1)
+    colors, caps, num_rows = tp.colors, tp.caps, len(row_left)
+    level = [1 if left else -1 for left in row_left] + [-1] * len(col_left)
+    frontier = [r for r, left in enumerate(row_left) if left]
+    depth = 1
+    while True:   # the BFS, a level at a time; rows at the sink's level would be dead ends
+        reached = []
+        for r in frontier:
+            for j, cap, moved in zip(colors[r], caps[r], moves[r]):
+                if moved < cap and level[num_rows + j] < 0:
+                    level[num_rows + j] = depth + 1
+                    reached.append(j)
+        depth += 2
+        if not reached or any(map(col_left.__getitem__, reached)):
+            break
+        frontier = list(dict.fromkeys(r for j in reached for r, _ in holders[j] if level[r] < 0))
+        for r in frontier:
+            level[r] = depth
+    if not reached:
+        return False
 
-    flow = 0
-    while True:
-        level = [-1] * num_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            if level[sink] >= 0:
-                break   # deeper nodes lie on no shortest path
-            for idx in adj[u]:
-                if cap[idx] > 0 and level[to[idx]] < 0:
-                    level[to[idx]] = level[u] + 1
-                    queue.append(to[idx])
-        if level[sink] < 0:
-            return flow, cap
-
-        # Per node, its arcs into the next level not yet ruled out, the next
-        # one last; listed on first visit. Pushes only ever empty these arcs.
-        untried: list[list[int] | None] = [None] * num_nodes
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                pushed = min(map(cap.__getitem__, path))
-                for idx in path:
-                    cap[idx] -= pushed
-                    cap[idx ^ 1] += pushed
-                flow += pushed
-                path.clear()
-                u = source
+    next_cell = [0] * num_rows
+    untried: list[list | None] = [None] * len(col_left)
+    path: list[tuple[int, int]] = []   # cells: forward at even positions, backward at odd
+    for first in range(num_rows):      # the source's arcs; it keeps one until it is shut
+        u = first
+        while row_left[first] and level[first] == 1:
+            if u < num_rows:
+                row_colors, row_caps, row_moves = colors[u], caps[u], moves[u]
+                t, up = next_cell[u], level[u] + 1
+                while t < len(row_caps) and not (row_moves[t] < row_caps[t]
+                                                 and level[num_rows + row_colors[t]] == up):
+                    t += 1
+                next_cell[u] = t
+                if t < len(row_caps):
+                    path.append((u, t))
+                    u = num_rows + row_colors[t]
+                else:
+                    level[u] = -1   # a dead end stays one for the rest of the phase
+                    u = num_rows + colors[path[-1][0]][path.pop()[1]] if path else u
                 continue
-            arcs = untried[u]
-            if arcs is None:
-                arcs = untried[u] = [idx for idx in reversed(adj[u])
-                                     if cap[idx] > 0 and level[to[idx]] == level[u] + 1]
-            while arcs and not (cap[arcs[-1]] and level[to[arcs[-1]]] >= 0):
+            j = u - num_rows
+            arcs = untried[j]
+            if arcs is None:   # by row, then the sink (None) while demand is left
+                arcs = untried[j] = [None] * bool(col_left[j]) + sorted(
+                    (cell for cell in holders[j] if level[cell[0]] == level[u] + 1), reverse=True)
+            while arcs and not (col_left[j] if arcs[-1] is None
+                                else moves[arcs[-1][0]][arcs[-1][1]] and level[arcs[-1][0]] >= 0):
                 arcs.pop()
-            if arcs:
+            if not arcs:
+                level[u] = -1
+                u = path.pop()[0]
+            elif arcs[-1] is not None:
                 path.append(arcs[-1])
-                u = to[arcs[-1]]
-            elif u == source:
-                break
+                u = arcs[-1][0]
             else:
-                level[u] = -1   # a dead end stays one for the rest of the phase
-                u = to[path.pop() ^ 1]
+                pushed = min(row_left[first], col_left[j],
+                             *[caps[r][t] - moves[r][t] for r, t in path[0::2]],
+                             *[moves[r][t] for r, t in path[1::2]])
+                row_left[first] -= pushed
+                col_left[j] -= pushed
+                for r, t in path[0::2]:
+                    moves[r][t] += pushed
+                    holders[colors[r][t]].add((r, t))
+                for r, t in path[1::2]:
+                    moves[r][t] -= pushed
+                    if not moves[r][t]:
+                        holders[colors[r][t]].remove((r, t))
+                path.clear()
+                u = first
+    return True
 
 
 def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     """Find integral moves with exact row sums, column sums, and caps.
 
-    Built as a four-layer flow network source -> rows -> colors -> sink with
-    one arc per nonzero cell in a fixed order, so the plan is deterministic.
-    Raises InfeasibleTransport when the max flow falls short.
+    Dinic's max-flow on source -> rows -> colors -> sink, arcs in row order
+    and each row's colors ascending, with residuals kept as supply left per
+    row, demand left per color and the moves. The first phase has no flow to
+    reroute, so rows sit at level 1, colors at 2, the sink at 3, and its DFS,
+    taking the first open arc each time, fills each row's cells in order:
+    that greedy is the phase. A later phase labels the same levels and tries
+    the same arcs in the same order (at a row its colors ascending, at a color
+    the rows sending it flow by row, then the sink), so every push is the
+    generic Dinic's. InfeasibleTransport names the first row left short.
     """
-    num_rows, k = len(tp.rows), len(tp.demands)
-    sink = 1 + num_rows + k
-    tails, heads, caps = [0] * num_rows, list(range(1, 1 + num_rows)), list(tp.supplies)
-    for c, (colors, row_caps) in enumerate(zip(tp.colors, tp.caps), start=1):
-        tails += [c] * len(colors)
-        heads += [1 + num_rows + j for j in colors]
-        caps += row_caps
-    tails += range(1 + num_rows, sink)
-    heads += [sink] * k
-    caps += tp.demands
-
-    want = sum(tp.supplies)
-    got, residual = _max_flow(sink + 1, tails, heads, caps, 0, sink)
-    if got != want:
-        raise InfeasibleTransport(f"max flow {got} < required {want}", tp)
-    cell_residual = iter(residual[2 * num_rows::2])
-    moves = [[cap - left for cap, left in zip(row_caps, cell_residual)] for row_caps in tp.caps]
+    row_left, col_left = list(tp.supplies), list(tp.demands)
+    moves = [[0] * len(row_caps) for row_caps in tp.caps]
+    holders: list[set[tuple[int, int]]] = [set() for _ in col_left]
+    for r, (row_colors, row_caps, row_moves) in enumerate(zip(tp.colors, tp.caps, moves)):
+        left = row_left[r]
+        for t, j in enumerate(row_colors):
+            if not left:
+                break
+            if col_left[j]:
+                pushed = row_moves[t] = min(left, row_caps[t], col_left[j])
+                col_left[j] -= pushed
+                holders[j].add((r, t))
+                left -= pushed
+        row_left[r] = left
+    while any(row_left) and _later_phase(tp, moves, row_left, col_left, holders):
+        pass
+    short = next((r for r, left in enumerate(row_left) if left), None)
+    if short is not None:
+        want = sum(tp.supplies)
+        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; "
+                                  f"row {tp.rows[short]} short by {row_left[short]}", tp)
     return DetachPlan(moves=moves)
 
 
@@ -232,8 +262,8 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 else:
                     del colors[j]   # the state keeps no zero counts
                 target[j] = target.get(j, 0) + moved
-        if cls.total() == 0:
-            del state.classes[key]
+        if not colors:
+            del state.classes[key], state.live[key]
 
     state.detached += 1
     state.check()
@@ -252,9 +282,7 @@ def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
         if trace is not None:
             trace({"stage": "detach", "s": state.detached, "q": state.weight})
 
-    keys = sorted(state.classes)
-    for key in keys:
-        if key[1] != 0:
-            raise InternalInvariantViolation(f"class {key} kept amalgam slots")
-    coloring = list(map(state.classes.__getitem__, keys))
+    if state.live:
+        raise InternalInvariantViolation(f"class {min(state.live)} kept amalgam slots")
+    coloring = list(map(state.classes.__getitem__, sorted(state.classes)))
     return Certificate(params=state.params, coloring=coloring, report=None)

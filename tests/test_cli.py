@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -245,6 +246,35 @@ class TestTrace:
         assert lines[1] == {"stage": "detach", "s": 1, "q": 1, "t_ms": lines[1]["t_ms"]}
         stamps = [r["t_ms"] for r in lines]
         assert stamps == sorted(stamps) and stamps[0] >= 0
+
+
+class TestCollectorPause:
+    """Commands run with the cyclic collector paused; ``main`` restores it."""
+
+    def test_collector_back_on_after_exit_0_and_4(self, worked_path, tmp_path, capsys):
+        assert gc.isenabled()
+        assert run_cli(["extend", worked_path, "-o", str(tmp_path / "cert.json")]) == 0
+        assert gc.isenabled()
+        bad = tmp_path / "bad.json"
+        bad.write_text("{definitely not json")
+        assert run_cli(["extend", str(bad)]) == 4
+        assert gc.isenabled()
+
+    def test_command_sees_the_collector_off_and_sweep_on(self, worked_path, monkeypatch):
+        seen = {}
+
+        def record(name):
+            def command(args):
+                seen[name] = gc.isenabled()
+                return 0
+            return command
+
+        monkeypatch.setattr(cli, "cmd_extend", record("extend"))
+        monkeypatch.setattr(cli, "cmd_sweep", record("sweep"))
+        assert run_cli(["extend", worked_path]) == 0
+        assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "4"]) == 0
+        assert seen == {"extend": False, "sweep": True}
+        assert gc.isenabled()
 
 
 class TestDeterminism:

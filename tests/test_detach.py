@@ -1,6 +1,7 @@
 """Unit tests for the detachment stage and transportation solver."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,12 +19,11 @@ from hyperfactor.detach import (
 )
 from hyperfactor.errors import InfeasibleTransport, InternalInvariantViolation
 from hyperfactor.generate import random_instance
-from hyperfactor.model import Parameters
+from hyperfactor.model import EdgeClass, Parameters
 from hyperfactor.verify import verify_certificate
 
 
 def ready_state(inst, seed=None):
-    import random
     state = build_amalgam(inst)
     rng = random.Random(seed) if seed is not None else None
     for level in range(1, inst.params.h):
@@ -58,6 +58,94 @@ def enumerate_integral_plans(tp: TransportationProblem):
         if col_sums == tp.demands:
             solutions.append(tuple(rows))
     return solutions
+
+
+def reference_moves(tp: TransportationProblem):
+    """The plan of a generic Dinic on an explicit arc list, or None if the flow falls short.
+
+    Arcs are source -> row c (cap supply), then row c -> color j per held
+    color, rows in order and colors ascending (cap count), then color j ->
+    sink (cap demand). Arc 2a runs tails[a] -> heads[a], arc 2a + 1 is its
+    reverse, and every node lists its arcs in that order. The iterative DFS
+    finds the same paths as a recursive one that restarts from the source
+    after each push and moves a node past an arc once it is saturated or
+    leads to a dead end.
+    """
+    num_rows, k = len(tp.rows), len(tp.demands)
+    sink = 1 + num_rows + k
+    tails, heads, caps = [0] * num_rows, list(range(1, 1 + num_rows)), list(tp.supplies)
+    for c, (colors, row_caps) in enumerate(zip(tp.colors, tp.caps), start=1):
+        tails += [c] * len(colors)
+        heads += [1 + num_rows + j for j in colors]
+        caps += row_caps
+    tails += range(1 + num_rows, sink)
+    heads += [sink] * k
+    caps += tp.demands
+
+    to, cap = [0] * (2 * len(heads)), [0] * (2 * len(heads))
+    to[0::2], to[1::2], cap[0::2] = heads, tails, caps
+    adj = [[] for _ in range(sink + 1)]
+    for a, (u, v) in enumerate(zip(tails, heads)):
+        adj[u].append(2 * a)
+        adj[v].append(2 * a + 1)
+    flow = 0
+    while True:
+        level = [-1] * (sink + 1)
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            if level[sink] >= 0:
+                break
+            for idx in adj[u]:
+                if cap[idx] > 0 and level[to[idx]] < 0:
+                    level[to[idx]] = level[u] + 1
+                    queue.append(to[idx])
+        if level[sink] < 0:
+            break
+        untried = [None] * (sink + 1)
+        path = []
+        u = 0
+        while True:
+            if u == sink:
+                pushed = min(map(cap.__getitem__, path))
+                for idx in path:
+                    cap[idx] -= pushed
+                    cap[idx ^ 1] += pushed
+                flow += pushed
+                path.clear()
+                u = 0
+                continue
+            arcs = untried[u]
+            if arcs is None:
+                arcs = untried[u] = [idx for idx in reversed(adj[u])
+                                     if cap[idx] > 0 and level[to[idx]] == level[u] + 1]
+            while arcs and not (cap[arcs[-1]] and level[to[arcs[-1]]] >= 0):
+                arcs.pop()
+            if arcs:
+                path.append(arcs[-1])
+                u = to[arcs[-1]]
+            elif u == 0:
+                break
+            else:
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+    if flow != sum(tp.supplies):
+        return None
+    cell_residual = iter(cap[2 * num_rows::2])
+    return [[c - left for c, left in zip(row_caps, cell_residual)] for row_caps in tp.caps]
+
+
+def random_problem(rng) -> TransportationProblem:
+    """1-7 rows over 1-7 colors, caps 1-3, supplies up to a row's copies, balanced demands."""
+    num_rows, k = rng.randint(1, 7), rng.randint(1, 7)
+    colors = [sorted(rng.sample(range(k), rng.randint(0, k))) for _ in range(num_rows)]
+    caps = [[rng.randint(1, 3) for _ in row] for row in colors]
+    supplies = [rng.randint(0, sum(row)) for row in caps]
+    demands = [0] * k
+    for _ in range(sum(supplies)):
+        demands[rng.randrange(k)] += 1
+    return TransportationProblem(rows=[((c + 1,), 1) for c in range(num_rows)],
+                                 supplies=supplies, demands=demands, colors=colors, caps=caps)
 
 
 class TestBuildTransportation:
@@ -135,6 +223,27 @@ class TestSolveTransportation:
                                    supplies=[2, 1, 1], demands=[2, 1, 1],
                                    colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
         assert solve_transportation(tp).moves == [[0, 1, 1], [1, 0], [1]]
+
+    def test_infeasible_names_the_short_row(self):
+        tp = TransportationProblem(rows=[((1,), 1), ((2,), 1)], supplies=[1, 1], demands=[1, 1],
+                                   colors=[[0], [0]], caps=[[1], [1]])
+        with pytest.raises(InfeasibleTransport) as info:
+            solve_transportation(tp)
+        assert str(info.value) == "max flow 1 < required 2; row ((2,), 1) short by 1"
+
+    def test_matches_the_reference_dinic(self):
+        rng = random.Random(2024)
+        infeasible = 0
+        for _ in range(2000):
+            tp = random_problem(rng)
+            want = reference_moves(tp)
+            try:
+                got = solve_transportation(tp).moves
+            except InfeasibleTransport:
+                got = None
+            assert got == want, tp
+            infeasible += want is None
+        assert 0 < infeasible < 2000   # both outcomes are exercised
 
     def test_cells_list_nonzero_caps_in_color_order(self):
         params = Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1))
@@ -244,6 +353,14 @@ class TestStepChecks:
 
         with pytest.raises(InternalInvariantViolation, match=r"class \(\(1, 2\), 0\) holds 2"):
             detach_step(ready_state(worked_instance), hook=add_copy)
+
+    def test_unindexed_class_is_caught(self, worked_instance):
+        def add_class(state, tp, plan):
+            state.classes[((1, 9), 0)] = EdgeClass(support=(1, 9), amalgam=0, colors={0: 5})
+
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^7 classes, but 3 live and 3 finished$"):
+            detach_step(ready_state(worked_instance), hook=add_class)
 
     def test_color_sums_checked_on_the_same_step(self, worked_instance):
         # Shift one copy the plan leaves behind to another color of its live

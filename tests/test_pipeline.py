@@ -174,6 +174,9 @@ GOLDEN_CERTIFICATES = [
     (_ones(12, 3, 3, 1), 1, "c40f8c5b0f51a5a17b9b2656e001b4d6deb7cea93de3e7509d016ddaf49c05f4"),
     (_ones(15, 4, 3, 2), 0, "447ee229c2910c4dfc704c3fb7fa0605c43931a1d34288ebd1779a86ad5e8944"),
     (_ones(15, 4, 3, 2), 1, "1343da7fa43c43acd50a8bf30a0cb7d0fe56cad5a5d1d7571f4f621d0a6acc38"),
+    # the benchmark's h3_sparse and h2_dense instances: wide steps, many phases
+    (_ones(33, 9, 3, 1), 1, "78caf22fb3493bc571a5b7dddbc81ec3078b07826fed06b87f2e375835ab61ac"),
+    (_ones(160, 40, 2, 1), 1, "c4aca43f487c7b8334a8b1772388a3f1091de99637cefc02df8157b1315ea05d"),
 ]
 
 
