@@ -250,9 +250,12 @@ def cmd_sweep(args) -> int:
         writer.writerow({key: ("true" if value else "false") if isinstance(value, bool) else value
                          for key, value in row.items()})
     crashed = [row["crash"] for row in rows if row["outcome"] == "crash"]
+    unverified = [(row["h"], row["m"], row["n"], row["lambda"], row["r_pattern"], row["seed"],
+                   args.force) for row in rows if row["verified"] is False]
     failure = (f"a sweep worker died: {died}" if died is not None
                else f"{len(crashed)} sweep cell(s) crashed, first {crashed[0]}" if crashed
-               else None)
+               else f"{len(unverified)} sweep cell(s) failed verification, first {unverified[0]}"
+               if unverified else None)
     try:
         _write_output(buffer.getvalue(), args.output)
     except BadArgument as exc:

@@ -13,8 +13,8 @@ first phase is a greedy pass over the rows, and later phases reroute flow
 through the rows that already send a color copies. The problem is read
 straight off the live rows (classes with amalgam slots): each row is its
 class's colors and nonzero counts, two parallel lists, so a step touches no
-cell a class does not hold. A step checks the plan, applies it, and ends with
-``AmalgamState.check``, which also covers the witness the next step relies on.
+cell a class does not hold. A step checks and applies the plan in one walk,
+then runs ``AmalgamState.check``, which also covers the next step's witness.
 """
 from __future__ import annotations
 
@@ -183,7 +183,8 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     that greedy is the phase. A later phase labels the same levels and tries
     the same arcs in the same order (at a row its colors ascending, at a color
     the rows sending it flow by row, then the sink), so every push is the
-    generic Dinic's. InfeasibleTransport names the first row left short.
+    generic Dinic's. InfeasibleTransport names the first row left short, and so
+    does the InternalInvariantViolation of a later phase that pushes no unit.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
     moves = [[0] * len(row_caps) for row_caps in tp.caps]
@@ -199,34 +200,17 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
                 holders[j].add((r, t))
                 left -= pushed
         row_left[r] = left
-    while any(row_left) and _later_phase(tp, moves, row_left, col_left, holders):
-        pass
+    unplaced, stalled = sum(row_left), False
+    while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders):
+        stalled, unplaced = sum(row_left) == unplaced, sum(row_left)
     short = next((r for r, left in enumerate(row_left) if left), None)
     if short is not None:
+        where = f"row {tp.rows[short]} short by {row_left[short]}"
+        if stalled:
+            raise InternalInvariantViolation(f"a flow phase pushed nothing; {where}")
         want = sum(tp.supplies)
-        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; "
-                                  f"row {tp.rows[short]} short by {row_left[short]}", tp)
+        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; {where}", tp)
     return DetachPlan(moves=moves)
-
-
-def _check_plan(tp: TransportationProblem, plan: DetachPlan) -> None:
-    """Check caps, row sums and column sums in one pass over the plan's cells."""
-    col_sums = [0] * len(tp.demands)
-    for key, supply, colors, caps, moves in zip(tp.rows, tp.supplies, tp.colors, tp.caps,
-                                                plan.moves):
-        if len(moves) != len(caps):
-            raise InternalInvariantViolation(
-                f"row {key} has {len(moves)} moves for {len(caps)} cells")
-        for j, cap, moved in zip(colors, caps, moves):
-            if not 0 <= moved <= cap:
-                raise InternalInvariantViolation(
-                    f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
-            col_sums[j] += moved
-        if sum(moves) != supply:
-            raise InternalInvariantViolation(f"row {key} sum {sum(moves)} != supply {supply}")
-    for j, (got, want) in enumerate(zip(col_sums, tp.demands), start=1):
-        if got != want:
-            raise InternalInvariantViolation(f"column {j} sum {got} != demand {want}")
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
@@ -234,36 +218,49 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
 
     The new vertex takes id m + detached + 1. For every row c = (X, i) and
     cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
-    copies of the same color. Afterwards the new vertex has degree exactly
-    r_j per color (the plan's column sums). The step writes nothing but
-    classes, and ``state.check()`` confirms that the live classes now weigh
-    r_j * (q - 1) in every color and every class (S, i) holds
-    lambda * C(q - 1, i) copies.
+    copies of the same color. One walk checks and applies the plan: a row's
+    length, each cell's 0 <= move <= cap before it is written, the row's sum,
+    and after the last row the column sums, the new vertex's degree r_j per
+    color. A failed check leaves the state partly applied; discard it. The
+    hook sees the solver's plan before the walk. The step writes only classes;
+    ``state.check()`` then confirms that the live classes weigh r_j * (q - 1)
+    in every color and every class (S, i) holds lambda * C(q - 1, i) copies.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
-    _check_plan(tp, plan)
     if hook is not None:
         hook(state, tp, plan)
 
     new_vertex = state.params.m + state.detached + 1
-    for key, row_colors, moves in zip(tp.rows, tp.colors, plan.moves):
-        cls = state.classes[key]
-        colors = cls.colors
+    col_sums = [0] * len(tp.demands)
+    for key, supply, row_colors, caps, moves in zip(tp.rows, tp.supplies, tp.colors, tp.caps,
+                                                    plan.moves):
+        if len(moves) != len(caps):
+            raise InternalInvariantViolation(
+                f"row {key} has {len(moves)} moves for {len(caps)} cells")
+        colors = state.classes[key].colors
         target: dict[int, int] | None = None
-        for j, moved in zip(row_colors, moves):
+        for j, cap, moved in zip(row_colors, caps, moves):
+            if not 0 <= moved <= cap:
+                raise InternalInvariantViolation(
+                    f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
+            col_sums[j] += moved
             if moved:
-                if target is None:
-                    support = tuple(sorted(key[0] + (new_vertex,)))
-                    target = state.get_class(support, key[1] - 1).colors
+                if target is None:   # the new vertex outnumbers every vertex of the support
+                    target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
                 left = colors[j] - moved
                 if left:
                     colors[j] = left
                 else:
                     del colors[j]   # the state keeps no zero counts
                 target[j] = target.get(j, 0) + moved
+        if sum(moves) != supply:
+            raise InternalInvariantViolation(f"row {key} sum {sum(moves)} != supply {supply}")
         if not colors:
             del state.classes[key], state.live[key]
+    for j, (got, want) in enumerate(zip(col_sums, tp.demands), start=1):
+        if got != want:
+            raise InternalInvariantViolation(f"column {j} sum {got} != demand {want}")
 
     state.detached += 1
     state.check()

@@ -26,8 +26,8 @@ def extend_instance(inst: Instance, seed: int | None = None,
     robustness testing (default fully deterministic); ``trace`` receives one
     JSON-ready record per level and per detachment step, each stamped with
     ``t_ms``, the milliseconds since the call began; ``hook(state, tp, plan)``
-    sees each step's checked plan before it is applied (per row, parallel
-    ``tp.colors``, ``tp.caps`` and ``plan.moves`` lists).
+    sees each step's plan as solved, before the walk that checks and applies
+    it (per row, parallel ``tp.colors``, ``tp.caps`` and ``plan.moves`` lists).
     """
     trace = _stamped(trace, time.perf_counter())
     state = build_amalgam(inst)

@@ -416,6 +416,24 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "RuntimeError: injected" in err[0] and "cannot write" in err[0]
 
+    def test_unverified_cell_exits_6(self, monkeypatch, capsys):
+        real = cli.verify_certificate
+
+        def fail_at_n6(cert, inst):
+            report = real(cert, inst)
+            report.ok = report.ok and inst.params.n != 6
+            return report
+
+        monkeypatch.setattr(cli, "verify_certificate", fail_at_n6)
+        assert run_cli(["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2"]) == 6
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(row["n"], row["outcome"], row["verified"]) for row in rows] == [
+            ("4", "ok", "true"), ("5", "inadmissible", ""), ("6", "ok", "false"),
+            ("6", "ok", "false"), ("7", "inadmissible", ""), ("8", "ok", "true")]
+        assert captured.err.splitlines() == [
+            "error: 2 sweep cell(s) failed verification, first (2, 2, 6, 1, 'ones', 0, False)"]
+
     def test_killed_worker_exits_6(self, monkeypatch, capsys):
         # The pool sends ``_kill_worker`` to its workers by name, so each one dies.
         monkeypatch.setattr(cli, "run_sweep_cell", _kill_worker)

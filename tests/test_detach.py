@@ -192,6 +192,25 @@ class TestBuildTransportation:
             detach_step(state)
 
 
+    def test_no_weight_left(self, worked_instance):
+        state = ready_state(worked_instance)
+        detach_all(state)
+        with pytest.raises(InternalInvariantViolation, match="^no amalgam weight left to detach$"):
+            build_transportation(state)
+
+    def test_coloring_must_be_complete(self, worked_instance):
+        with pytest.raises(InternalInvariantViolation,
+                           match="^detachment before the coloring is complete$"):
+            build_transportation(build_amalgam(worked_instance))
+
+    def test_supply_must_meet_demand(self, worked_instance):
+        state = ready_state(worked_instance)
+        key = min(state.live)   # ((), 2) donates lambda * C(1, 1) = 1 copy
+        del state.classes[key], state.live[key]
+        with pytest.raises(InternalInvariantViolation, match="^supply 2 != demand 3$"):
+            build_transportation(state)
+
+
 class TestSolveTransportation:
     def test_one_by_one(self):
         tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2],
@@ -230,6 +249,26 @@ class TestSolveTransportation:
         with pytest.raises(InfeasibleTransport) as info:
             solve_transportation(tp)
         assert str(info.value) == "max flow 1 < required 2; row ((2,), 1) short by 1"
+
+    def test_a_phase_that_pushes_nothing_raises(self, monkeypatch):
+        from hyperfactor import detach
+        calls = []
+
+        def stalled_phase(tp, moves, row_left, col_left, holders):
+            calls.append(None)   # reaches the sink, pushes no unit
+            if len(calls) > 3:
+                raise RuntimeError("the solver repeats a phase that pushes nothing")
+            return True
+
+        monkeypatch.setattr(detach, "_later_phase", stalled_phase)
+        # The reverse-arc problem: the greedy phase leaves row 2 short.
+        tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
+                                   supplies=[2, 1, 1], demands=[2, 1, 1],
+                                   colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^a flow phase pushed nothing; row \(\(3,\), 1\) short by 1$"):
+            solve_transportation(tp)
+        assert len(calls) == 1
 
     def test_matches_the_reference_dinic(self):
         rng = random.Random(2024)
@@ -409,6 +448,15 @@ class TestDetachAll:
         inst = random_instance(params, seed=13)
         cert = detach_all(ready_state(inst, seed=13))
         assert verify_certificate(cert, inst).ok
+
+    def test_live_class_left_at_the_end_is_caught(self, worked_instance):
+        def index_empty_class(state, tp, plan):
+            if state.weight == 1:   # an empty level-2 class passes the last step's check
+                state.get_class((), 2)
+
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^class \(\(\), 2\) kept amalgam slots$"):
+            detach_all(ready_state(worked_instance), hook=index_empty_class)
 
     def test_trace_records(self, worked_instance):
         records = []

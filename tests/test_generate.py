@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import InadmissibleParameters
+from hyperfactor import generate
 from hyperfactor.generate import random_instance
 from hyperfactor.model import Parameters, is_admissible, serialize_instance, validate_instance
 
@@ -52,3 +53,18 @@ class TestRandomInstance:
         for seed in range(5):
             inst = random_instance(params, seed=seed)
             assert validate_instance(inst).ok
+
+    def test_backtracking_fallback(self, monkeypatch):
+        # Every one of the seeded greedy passes dead-ends on this cell and seed.
+        calls = []
+        real = generate._backtrack_coloring
+
+        def spy(params, rng):
+            calls.append(params)
+            return real(params, rng)
+
+        monkeypatch.setattr(generate, "_backtrack_coloring", spy)
+        params = Parameters(n=8, m=7, h=2, lam=1, r=(1,) * 7)
+        inst = random_instance(params, seed=2)
+        assert calls == [params]
+        assert validate_instance(inst).ok
