@@ -37,12 +37,14 @@ class AmalgamState:
     every class. ``live`` indexes the keys of the classes with amalgam slots,
     in creation order, and ``finished`` lists the level-0 classes, which no
     later step changes; ``get_class`` and the detach step's delete keep both
-    in step with ``classes``. ``degrees`` maps each original vertex 1..m to
-    its dense per-color degrees; only the greedy levels and
-    ``finish_levels`` read it. ``detached`` counts already-split vertices
-    (ids m+1..m+detached); ``weight`` is the number of vertices still merged
-    into the amalgam. ``level_done`` tracks the highest fully colored
-    amalgam level, enforcing the ascending-level discipline.
+    in step with ``classes``. A live class's map lists its colors ascending:
+    the levels fill it in order, a detach target in its one source's order.
+    ``degrees`` maps each original vertex 1..m to its dense per-color
+    degrees; only the greedy levels and ``finish_levels`` read it.
+    ``detached`` counts already-split vertices (ids m+1..m+detached);
+    ``weight`` is the number of vertices still merged into the amalgam.
+    ``level_done`` tracks the highest fully colored amalgam level, enforcing
+    the ascending-level discipline.
     """
 
     params: Parameters
@@ -163,8 +165,8 @@ def greedy_color_level(state: AmalgamState, level: int,
     """Color every level-``level`` class, keeping all degrees within caps.
 
     Classes are processed in lexicographic support order with lowest-color
-    preference; ``rng`` optionally shuffles both for robustness testing.
-    Levels must be processed in ascending order starting at 1.
+    preference; ``rng`` optionally shuffles both for robustness testing (each
+    class's map is then sorted once). Levels go in ascending order from 1.
     """
     p = state.params
     if not (1 <= level <= p.h - 1):
@@ -179,12 +181,14 @@ def greedy_color_level(state: AmalgamState, level: int,
         rng.shuffle(pending)
     base_order = list(range(p.k))
     for key in pending:
-        if rng is not None:
+        cls = state.classes[key]
+        if rng is None:
+            _color_class(state, cls, copies, base_order)
+        else:
             order = base_order[:]
             rng.shuffle(order)
-        else:
-            order = base_order
-        _color_class(state, state.classes[key], copies, order)
+            _color_class(state, cls, copies, order)
+            cls.colors = dict(sorted(cls.colors.items()))
 
     state.level_done = level
     return state

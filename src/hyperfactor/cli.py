@@ -233,7 +233,8 @@ def cmd_sweep(args) -> int:
 
     rows, died = [], None
     if args.jobs > 1 and cells:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(cells), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(run_sweep_cell, cell) for cell in cells]
         for future in futures:   # one task per cell: a killed worker loses only unfinished cells
             try:

@@ -1,6 +1,7 @@
 """CLI tests: exit-code contract, determinism, sweep CSV, baranyai."""
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import gc
 import io
@@ -11,7 +12,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperfactor import cli, errors
+from hyperfactor import cli, errors, generate
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import HyperfactorError, InfeasibleTransport
 from hyperfactor.model import parse_certificate
@@ -330,6 +331,15 @@ class TestGen:
         assert run_cli(["extend", str(inst_path), "-o", str(cert_path)]) == 0
         assert run_cli(["verify", str(cert_path), str(inst_path)]) == 0
 
+    def test_gen_failed_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)
+        monkeypatch.setattr(generate, "_NODE_BUDGET", 1)
+        assert run_cli(["gen", "--n", "8", "--m", "7", "--h", "2", "--r", "ones"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 def _kill_worker(cell):
     os._exit(3)
@@ -453,6 +463,35 @@ class TestSweep:
             ("3", "6", "ok"), ("3", "7", "inadmissible")]
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a sweep worker died"), err
+
+    def test_jobs_capped_by_cells_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:   # records the pool size and runs each task in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        one_cell = ["sweep", "--h", "2", "--m", "2", "--n", "4", "-o", os.devnull]
+        six_cells = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "-o", os.devnull]
+        assert run_cli(one_cell + ["--jobs", "100000"]) == 0
+        assert run_cli(six_cells + ["--jobs", "100000"]) == 0
+        assert run_cli(six_cells + ["--jobs", "2"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_cli(six_cells + ["--jobs", "100000"]) == 0
+        assert sizes == [1, 3, 2, 1]
 
     def test_parallel_matches_serial(self, tmp_path):
         args = ["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+2", "--seeds", "2"]

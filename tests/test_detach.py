@@ -286,14 +286,14 @@ class TestSolveTransportation:
 
     def test_cells_list_nonzero_caps_in_color_order(self):
         params = Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1))
-        state = ready_state(random_instance(params, seed=3), seed=3)
-        for cls in state.classes.values():
-            cls.colors = dict(reversed(cls.colors.items()))   # insertion order must not matter
+        state = ready_state(random_instance(params, seed=3), seed=3)   # a shuffled greedy
+        for key in state.live:   # the state keeps every live map ascending
+            assert list(state.classes[key].colors) == sorted(state.classes[key].colors), key
         tp = build_transportation(state)
         assert any(len(colors) > 1 for colors in tp.colors)
-        for key, colors, caps in zip(tp.rows, tp.colors, tp.caps):
-            assert colors == sorted(state.classes[key].colors)
-            assert caps == [state.classes[key].colors[j] for j in colors] and all(caps)
+        for key, colors, caps in zip(tp.rows, tp.colors, tp.caps, strict=True):
+            counts = state.classes[key].colors
+            assert colors == list(counts) and caps == list(counts.values()) and all(caps)
 
     def test_deterministic(self, worked_instance):
         plans = []
@@ -372,12 +372,13 @@ class TestStepChecks:
 
     # The worked example's first step has colors [[0], [1, 2], [1, 2]], caps
     # [[1], [1, 1], [1, 1]], and unit supplies and demands.
+    # A wrong row sum breaks its target's total; a wrong column sum, a color's weight.
     @pytest.mark.parametrize("moves, message", [
         ([[1], [2, -1], [-1, 2]], "cap"),             # sums kept, caps broken
-        ([[1], [1, 1], [0, 0]], "supply"),            # only row sums broken
-        ([[1], [1, 0], [1, 0]], "column 2 sum 2"),    # only column sums broken
+        ([[1], [1, 1], [0, 0]], r"^class \(\(1, 3\), 0\) holds 2 copies, expected 1$"),
+        ([[1], [1, 0], [1, 0]], r"^color 2: live classes weigh 0, expected 1$"),
         ([[1], [1], [0, 1]], "1 moves for 2 cells"),  # a row not parallel to its caps
-    ])
+    ], ids=["moves0-cap", "moves1-supply", "moves2-column 2 sum 2", "moves3-1 moves for 2 cells"])
     def test_bad_plan_is_rejected(self, worked_instance, monkeypatch, moves, message):
         from hyperfactor import detach
         monkeypatch.setattr(detach, "solve_transportation",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import binom
-from hyperfactor.errors import InadmissibleParameters
+from hyperfactor.errors import GenerationFailed, InadmissibleParameters
 from hyperfactor import generate
 from hyperfactor.generate import random_instance
 from hyperfactor.model import Parameters, is_admissible, serialize_instance, validate_instance
@@ -68,3 +68,16 @@ class TestRandomInstance:
         inst = random_instance(params, seed=2)
         assert calls == [params]
         assert validate_instance(inst).ok
+
+    def test_backtracking_undoes_dead_ends(self, monkeypatch):
+        # With no greedy pass, seed 0 goes straight to the search, which backs
+        # out of dozens of choices on this tight cell before it succeeds.
+        monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)
+        inst = random_instance(Parameters(n=8, m=7, h=2, lam=1, r=(1,) * 7), seed=0)
+        assert validate_instance(inst).ok
+
+    def test_spent_node_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)
+        monkeypatch.setattr(generate, "_NODE_BUDGET", 1)
+        with pytest.raises(GenerationFailed, match="after 0 restarts"):
+            random_instance(Parameters(n=8, m=7, h=2, lam=1, r=(1,) * 7), seed=0)
