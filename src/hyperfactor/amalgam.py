@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import attrgetter
+from itertools import combinations
 
 from .combinatorics import binom
 from .errors import (
@@ -35,10 +34,13 @@ class AmalgamState:
     ``classes`` holds one ``EdgeClass`` per class key, the type documents use
     too, each with its sparse ``{color: count}`` map; it is the one map of
     every class. ``live`` indexes the keys of the classes with amalgam slots,
-    in creation order, and ``finished`` lists the level-0 classes, which no
-    later step changes; ``get_class`` and the detach step's delete keep both
-    in step with ``classes``. A live class's map lists its colors ascending:
-    the levels fill it in order, a detach target in its one source's order.
+    in creation order, and ``finished`` the level-0 classes' maps; ``get_class``
+    and the detach step's delete keep both in step with ``classes``. A
+    finished map is written only in the stage that creates it and ``check``
+    ends (no later step donates to an earlier new vertex's class), so it must
+    equal the copy ``sealed`` took, interned by content in ``seals``. A live
+    class's map lists its colors ascending: the levels fill it in order, a
+    detach target in its one source's order.
     ``degrees`` maps each original vertex 1..m to its dense per-color
     degrees; only the greedy levels and ``finish_levels`` read it.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
@@ -53,7 +55,9 @@ class AmalgamState:
     degrees: dict[int, list[int]]
     level_done: int
     live: dict[ClassKey, None] = field(default_factory=dict)
-    finished: list[EdgeClass] = field(default_factory=list)
+    finished: list[dict[int, int]] = field(default_factory=list)
+    sealed: list[dict[int, int]] = field(default_factory=list)
+    seals: dict[tuple, dict[int, int]] = field(default_factory=dict)
 
     @property
     def weight(self) -> int:
@@ -64,20 +68,29 @@ class AmalgamState:
 
         Every class (X, i) holds exactly lambda * C(q, i) copies.
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
-        the amalgam's degree, which must equal r_j * q. The finished classes
-        are recounted at C speed and scanned only to name one that is off.
+        the amalgam's degree, which must equal r_j * q. A finished map is
+        counted once, then compared at C speed with its sealed copy.
         """
         p = self.params
         q = self.weight
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
-        classes, live, finished = self.classes, self.live, self.finished
+        classes, live, finished, sealed = self.classes, self.live, self.finished, self.sealed
         if len(live) + len(finished) != len(classes):
             raise InternalInvariantViolation(
                 f"{len(classes)} classes, but {len(live)} live and {len(finished)} finished")
-        totals = set(map(sum, map(dict.values, map(attrgetter("colors"), finished))))
-        suspects = finished if totals - {per_level[0]} else []
+        start, old = len(sealed), None
+        if finished[:start] != sealed:   # the loop names the first map that changed
+            start, old = next((t, a) for t, (a, b) in enumerate(zip(sealed, finished)) if a != b)
+        for colors in finished[start:]:
+            copies = sum(colors.values())
+            if copies != per_level[0] or old is not None:
+                key = next(cls.key() for cls in classes.values() if cls.colors is colors)
+                raise InternalInvariantViolation(
+                    f"class {key} went from {old} to {colors}" if copies == per_level[0]
+                    else f"class {key} holds {copies} copies, expected {per_level[0]}")
+            sealed.append(self.seals.setdefault(tuple(colors.items()), dict(colors)))
         weighted = [0] * p.k
-        for cls in chain(suspects, map(classes.__getitem__, live)):
+        for cls in map(classes.__getitem__, live):
             level = cls.amalgam
             if cls.total() != per_level[level]:
                 raise InternalInvariantViolation(
@@ -97,7 +110,7 @@ class AmalgamState:
             if amalgam:
                 self.live[key] = None
             else:
-                self.finished.append(cls)
+                self.finished.append(cls.colors)
         return cls
 
 

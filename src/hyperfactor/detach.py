@@ -20,6 +20,7 @@ covers the next step's witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, filterfalse
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
@@ -98,11 +99,13 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
     flow: its residual arcs back to rows. A row resumes its scan where it
     stopped: a cell that leads a level up only gains flow in the phase, so
     the scan passes over just what a per-node arc list would have popped.
+    A BFS level stops once every color is labelled; a sink-level color with
+    no demand left is a dead end (no row sits past the sink), so it is unlabelled.
     """
     colors, caps, num_rows = tp.colors, tp.caps, len(row_left)
     level = [1 if left else -1 for left in row_left] + [-1] * len(col_left)
     frontier = [r for r, left in enumerate(row_left) if left]
-    depth = 1
+    depth, unlabelled = 1, len(col_left)
     while True:   # the BFS, a level at a time; rows at the sink's level would be dead ends
         reached = []
         for r in frontier:
@@ -110,7 +113,9 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
                 if moved < cap and level[num_rows + j] < 0:
                     level[num_rows + j] = depth + 1
                     reached.append(j)
-        depth += 2
+            if len(reached) == unlabelled:   # later rows have no color left to label
+                break
+        depth, unlabelled = depth + 2, unlabelled - len(reached)
         if not reached or any(map(col_left.__getitem__, reached)):
             break
         frontier = list(dict.fromkeys(r for j in reached for r, _ in holders[j] if level[r] < 0))
@@ -118,6 +123,8 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
             level[r] = depth
     if not reached:
         return False
+    for j in filterfalse(col_left.__getitem__, reached):
+        level[num_rows + j] = -1
 
     next_cell = [0] * num_rows
     untried: list[list | None] = [None] * len(col_left)
@@ -127,12 +134,12 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
         while row_left[first] and level[first] == 1:
             if u < num_rows:
                 row_colors, row_caps, row_moves = colors[u], caps[u], moves[u]
-                t, up = next_cell[u], level[u] + 1
-                while t < len(row_caps) and not (row_moves[t] < row_caps[t]
-                                                 and level[num_rows + row_colors[t]] == up):
+                t, up, cells = next_cell[u], level[u] + 1, len(row_caps)
+                while t < cells and not (row_moves[t] < row_caps[t]
+                                         and level[num_rows + row_colors[t]] == up):
                     t += 1
                 next_cell[u] = t
-                if t < len(row_caps):
+                if t < cells:
                     if len(path) >= 2 * num_rows:   # a level-graph path holds each row once
                         raise InternalInvariantViolation(
                             f"a flow path outgrew {num_rows} rows at row {tp.rows[u]}")
@@ -222,7 +229,8 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
     copies of the same color. One walk applies the plan and checks what no
     total shows: a row's length, and each cell's 0 <= move <= cap before it
-    is written. A failed check leaves the state partly applied; discard it.
+    is written, visiting only nonzero moves: a zero one passes and writes
+    nothing. A failed check leaves the state partly applied; discard it.
     The hook sees the plan before the walk. ``state.check()`` then checks the
     sums: a source must keep lambda * C(q-1, i) and its target, which has no
     other donor, hold lambda * C(q-1, i-1), so a wrong row sum breaks a class
@@ -241,19 +249,18 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 f"row {key} has {len(moves)} moves for {len(caps)} cells")
         colors = state.classes[key].colors
         target: dict[int, int] | None = None
-        for j, cap, moved in zip(row_colors, caps, moves):
+        for j, cap, moved in compress(zip(row_colors, caps, moves), moves):
             if not 0 <= moved <= cap:
                 raise InternalInvariantViolation(
                     f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
-            if moved:
-                if target is None:   # the new vertex outnumbers every vertex of the support
-                    target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
-                left = colors[j] - moved
-                if left:
-                    colors[j] = left
-                else:
-                    del colors[j]   # the state keeps no zero counts
-                target[j] = target.get(j, 0) + moved
+            if target is None:   # the new vertex outnumbers every vertex of the support
+                target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
+            left = colors[j] - moved
+            if left:
+                colors[j] = left
+            else:
+                del colors[j]   # the state keeps no zero counts
+            target[j] = target.get(j, 0) + moved
         if not colors:
             del state.classes[key], state.live[key]
 

@@ -23,12 +23,12 @@ def _try_random_coloring(params: Parameters, rng: random.Random):
     """One greedy pass: shuffled copy order, uniform feasible color per copy."""
     p = params
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
+    palette, full = set(range(p.k)), {v: set() for v in degrees}   # full: colors at degree r_j
     copies = [s for s in combinations(range(1, p.m + 1), p.h) for _ in range(p.lam)]
     rng.shuffle(copies)
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     for subset in copies:
-        feasible = [j for j in range(p.k)
-                    if all(degrees[v][j] < p.r[j] for v in subset)]
+        feasible = sorted(palette.difference(*map(full.__getitem__, subset)))
         if not feasible:
             return None
         j = rng.choice(feasible)
@@ -36,6 +36,8 @@ def _try_random_coloring(params: Parameters, rng: random.Random):
         held[j] = held.get(j, 0) + 1
         for v in subset:
             degrees[v][j] += 1
+            if degrees[v][j] == p.r[j]:
+                full[v].add(j)
     return counts
 
 
@@ -43,6 +45,7 @@ def _backtrack_coloring(params: Parameters, rng: random.Random):
     """Bounded fallback search; copy order fixed, color order shuffled per node."""
     p = params
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
+    palette, full = set(range(p.k)), {v: set() for v in degrees}   # full: colors at degree r_j
     copies = [s for s in combinations(range(1, p.m + 1), p.h) for _ in range(p.lam)]
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     nodes = [0]
@@ -54,14 +57,15 @@ def _backtrack_coloring(params: Parameters, rng: random.Random):
         if nodes[0] > _NODE_BUDGET:
             return False
         subset = copies[idx]
-        feasible = [j for j in range(p.k)
-                    if all(degrees[v][j] < p.r[j] for v in subset)]
+        feasible = sorted(palette.difference(*map(full.__getitem__, subset)))
         rng.shuffle(feasible)
         held = counts.setdefault(subset, {})
         for j in feasible:
             held[j] = held.get(j, 0) + 1
             for v in subset:
                 degrees[v][j] += 1
+                if degrees[v][j] == p.r[j]:
+                    full[v].add(j)
             if go(idx + 1):
                 return True
             held[j] -= 1
@@ -69,6 +73,7 @@ def _backtrack_coloring(params: Parameters, rng: random.Random):
                 del held[j]   # instances keep no zero counts
             for v in subset:
                 degrees[v][j] -= 1
+                full[v].discard(j)   # every degree stays at most r_j, so it is below now
         return False
 
     return counts if go(0) else None

@@ -378,7 +378,9 @@ class TestStepChecks:
         ([[1], [1, 1], [0, 0]], r"^class \(\(1, 3\), 0\) holds 2 copies, expected 1$"),
         ([[1], [1, 0], [1, 0]], r"^color 2: live classes weigh 0, expected 1$"),
         ([[1], [1], [0, 1]], "1 moves for 2 cells"),  # a row not parallel to its caps
-    ], ids=["moves0-cap", "moves1-supply", "moves2-column 2 sum 2", "moves3-1 moves for 2 cells"])
+        ([[1], [1, 1], [0, -1]], r"moves -1 copies of color 3, cap 1"),  # a lone negative move
+    ], ids=["moves0-cap", "moves1-supply", "moves2-column 2 sum 2", "moves3-1 moves for 2 cells",
+            "moves4-moves -1 copies of color 3, cap 1"])
     def test_bad_plan_is_rejected(self, worked_instance, monkeypatch, moves, message):
         from hyperfactor import detach
         monkeypatch.setattr(detach, "solve_transportation",
@@ -393,6 +395,19 @@ class TestStepChecks:
 
         with pytest.raises(InternalInvariantViolation, match=r"class \(\(1, 2\), 0\) holds 2"):
             detach_step(ready_state(worked_instance), hook=add_copy)
+
+    def test_finished_class_recolored_on_the_same_step(self, worked_instance):
+        # A copy moved between colors of a class no step touches keeps every
+        # total and every live weight; only the sealed copy tells.
+        def recolor(state, tp, plan):
+            untouched = state.classes[((1, 2), 0)].colors
+            assert untouched == {0: 1}
+            del untouched[0]
+            untouched[1] = 1
+
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^class \(\(1, 2\), 0\) went from \{0: 1\} to \{1: 1\}$"):
+            detach_step(ready_state(worked_instance), hook=recolor)
 
     def test_unindexed_class_is_caught(self, worked_instance):
         def add_class(state, tp, plan):
