@@ -19,16 +19,8 @@ import time
 import traceback
 
 from .combinatorics import binom, bound_holds
-from .errors import (
-    BadArgument,
-    BelowBound,
-    GreedyStuck,
-    HyperfactorError,
-    InadmissibleParameters,
-    InternalInvariantViolation,
-    NegativeTopLevelQuota,
-    SchemaError,
-)
+from .errors import (BadArgument, BelowBound, HyperfactorError, InadmissibleParameters,
+                     InternalInvariantViolation, SchemaError)
 from .generate import random_instance
 from .model import (
     Instance,
@@ -134,27 +126,18 @@ def _parameters(n: int, m: int, h: int, lam: int, r_pattern: str) -> Parameters:
         raise InadmissibleParameters(str(exc)) from None
 
 
-def _check_hypotheses(p: Parameters, force: bool) -> bool:
-    """Require admissibility, then the bound unless ``force``; True if below the bound."""
+def _check_hypotheses(p: Parameters, force: bool) -> None:
+    """Require admissibility, then the bound unless ``force``."""
     if not is_admissible(p):
         raise InadmissibleParameters("parameters are inadmissible")
-    below_bound = not bound_holds(p.n, p.m, p.h)
-    if below_bound and not force:
+    if not force and not bound_holds(p.n, p.m, p.h):
         raise BelowBound(f"n={p.n} is below the extension bound for m={p.m}, h={p.h}; "
                          "pass --force for a best-effort attempt")
-    return below_bound
 
 
-def _run_extension(inst: Instance, args, forced_below_bound: bool) -> int:
+def _run_extension(inst: Instance, args) -> int:
     """Extend, verify and write the certificate; a failed verification is a bug."""
-    trace = _stderr_trace if args.trace else None
-    try:
-        cert = extend_instance(inst, seed=args.seed, trace=trace)
-    except (GreedyStuck, NegativeTopLevelQuota) as exc:
-        if forced_below_bound:
-            raise
-        raise InternalInvariantViolation(str(exc)) from exc   # impossible above the bound
-
+    cert = extend_instance(inst, seed=args.seed, trace=_stderr_trace if args.trace else None)
     report = verify_certificate(cert, inst)
     cert.report = report.to_json()
     if not report.ok:
@@ -165,7 +148,8 @@ def _run_extension(inst: Instance, args, forced_below_bound: bool) -> int:
 
 def cmd_extend(args) -> int:
     inst = parse_instance(_read(args.instance))
-    return _run_extension(inst, args, _check_hypotheses(inst.params, args.force))
+    _check_hypotheses(inst.params, args.force)
+    return _run_extension(inst, args)
 
 
 def cmd_verify(args) -> int:
@@ -185,12 +169,16 @@ def cmd_gen(args) -> int:
 
 def cmd_baranyai(args) -> int:
     params = _parameters(args.n, args.h, args.h, args.lam, args.r)
-    below_bound = _check_hypotheses(params, args.force)
-    return _run_extension(single_edge_instance(params), args, below_bound)
+    _check_hypotheses(params, args.force)
+    return _run_extension(single_edge_instance(params), args)
 
 
 def run_sweep_cell(cell: tuple) -> dict:
-    """One sweep cell, independent and pure; safe for worker pools."""
+    """One sweep cell, independent and pure; safe for worker pools.
+
+    A bug, an error ``extend`` exits 6 on or any other exception, also records
+    ``crash``: where it struck. The outcome stays the error's, else ``crash``.
+    """
     h, m, n, lam, r_pattern, seed, force = cell
     row = {"h": h, "m": m, "n": n, "lambda": lam, "r_pattern": r_pattern,
            "seed": seed, "admissible": False, "bound": "", "outcome": "",
@@ -210,12 +198,12 @@ def run_sweep_cell(cell: tuple) -> dict:
         inst = random_instance(params, seed=seed)
         cert = extend_instance(inst, seed=seed)
         row["verified"] = verify_certificate(cert, inst).ok
-    except HyperfactorError as exc:
-        return done(exc.outcome)
-    except Exception as exc:   # a bug: record where it struck and keep the other rows
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        row["crash"] = f"{cell}: {type(exc).__name__}: {exc} at {where.filename}:{where.lineno}"
-        return done("crash")
+    except Exception as exc:   # keep the other rows either way
+        known = isinstance(exc, HyperfactorError)
+        if not known or exc.exit_code == 6:   # a bug: record where it struck
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            row["crash"] = f"{cell}: {type(exc).__name__}: {exc} at {where.filename}:{where.lineno}"
+        return done(exc.outcome if known else "crash")
     return done("ok")
 
 
@@ -250,7 +238,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow({key: ("true" if value else "false") if isinstance(value, bool) else value
                          for key, value in row.items()})
-    crashed = [row["crash"] for row in rows if row["outcome"] == "crash"]
+    crashed = [row["crash"] for row in rows if "crash" in row]
     unverified = [(row["h"], row["m"], row["n"], row["lambda"], row["r_pattern"], row["seed"],
                    args.force) for row in rows if row["verified"] is False]
     failure = (f"a sweep worker died: {died}" if died is not None

@@ -58,7 +58,8 @@ class InvalidInstance(HyperfactorError):
 class GreedyStuck(HyperfactorError):
     """No color has residual capacity for some edge during level coloring.
 
-    Cannot happen above the extension bound; below it (forced mode) it is an
+    Cannot happen above the extension bound: there ``extend_instance`` raises
+    it as InternalInvariantViolation (exit 6). Below it (forced mode) it is an
     accepted best-effort outcome.
     """
     exit_code, outcome = 5, "greedy_stuck"
@@ -72,8 +73,9 @@ class GreedyStuck(HyperfactorError):
 class NegativeTopLevelQuota(HyperfactorError):
     """A color's quota of all-new-vertex edges came out negative.
 
-    Above the bound this is a bug; below the bound (forced mode) it is the
-    step-2 analogue of :class:`GreedyStuck`.
+    Above the bound this is a bug, which ``extend_instance`` raises as
+    InternalInvariantViolation (exit 6); below the bound (forced mode) it is
+    the step-2 analogue of :class:`GreedyStuck`.
     """
     exit_code, outcome = 5, "negative_quota"
 

@@ -42,41 +42,50 @@ def _try_random_coloring(params: Parameters, rng: random.Random):
 
 
 def _backtrack_coloring(params: Parameters, rng: random.Random):
-    """Bounded fallback search; copy order fixed, color order shuffled per node."""
+    """Bounded fallback search; copy order fixed, color order shuffled per node.
+
+    Depth-first without recursion: one frame per copy on the path holds its
+    shuffled feasible colors and the index of the one it takes now.
+    """
     p = params
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
     palette, full = set(range(p.k)), {v: set() for v in degrees}   # full: colors at degree r_j
     copies = [s for s in combinations(range(1, p.m + 1), p.h) for _ in range(p.lam)]
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    nodes = [0]
-
-    def go(idx: int) -> bool:
-        if idx == len(copies):
-            return True
-        nodes[0] += 1
-        if nodes[0] > _NODE_BUDGET:
-            return False
-        subset = copies[idx]
+    frames: list[list] = []
+    for _ in range(_NODE_BUDGET):   # one search node a pass
+        if len(frames) == len(copies):
+            return counts
+        subset = copies[len(frames)]
         feasible = sorted(palette.difference(*map(full.__getitem__, subset)))
         rng.shuffle(feasible)
-        held = counts.setdefault(subset, {})
-        for j in feasible:
-            held[j] = held.get(j, 0) + 1
-            for v in subset:
-                degrees[v][j] += 1
-                if degrees[v][j] == p.r[j]:
-                    full[v].add(j)
-            if go(idx + 1):
-                return True
-            held[j] -= 1
-            if not held[j]:
-                del held[j]   # instances keep no zero counts
-            for v in subset:
-                degrees[v][j] -= 1
-                full[v].discard(j)   # every degree stays at most r_j, so it is below now
-        return False
-
-    return counts if go(0) else None
+        counts.setdefault(subset, {})
+        frames.append([feasible, -1])
+        while frames:   # the deepest copy takes its next color; a copy out of colors backs out
+            feasible, at = frames[-1]
+            subset = copies[len(frames) - 1]
+            held = counts[subset]
+            if at >= 0:
+                j = feasible[at]
+                held[j] -= 1
+                if not held[j]:
+                    del held[j]   # instances keep no zero counts
+                for v in subset:
+                    degrees[v][j] -= 1
+                    full[v].discard(j)   # every degree stays at most r_j, so it is below now
+            at += 1
+            if at < len(feasible):
+                frames[-1][1], j = at, feasible[at]
+                held[j] = held.get(j, 0) + 1
+                for v in subset:
+                    degrees[v][j] += 1
+                    if degrees[v][j] == p.r[j]:
+                        full[v].add(j)
+                break
+            frames.pop()
+        else:
+            return None
+    return counts if len(frames) == len(copies) else None
 
 
 def random_instance(params: Parameters, seed: int = 0) -> Instance:

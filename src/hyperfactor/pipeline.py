@@ -5,7 +5,9 @@ import random
 import time
 
 from .amalgam import assign_level_h, build_amalgam, finish_levels, greedy_color_level
+from .combinatorics import bound_holds
 from .detach import detach_all
+from .errors import GreedyStuck, InternalInvariantViolation, NegativeTopLevelQuota
 from .model import Certificate, EdgeClass, Instance, Parameters
 
 
@@ -28,15 +30,22 @@ def extend_instance(inst: Instance, seed: int | None = None,
     ``t_ms``, the milliseconds since the call began; ``hook(state, tp, plan)``
     sees each step's plan as solved, before the walk that checks and applies
     it (per row, parallel ``tp.colors``, ``tp.caps`` and ``plan.moves`` lists).
+    Above the bound the level stage cannot get stuck, so a GreedyStuck or
+    NegativeTopLevelQuota there is a bug, raised as InternalInvariantViolation.
     """
     trace = _stamped(trace, time.perf_counter())
     state = build_amalgam(inst)
     rng = random.Random(seed) if seed is not None else None
-    for level in range(1, inst.params.h):
-        greedy_color_level(state, level, rng=rng)
-        if trace is not None:
-            trace({"stage": "level", "i": level})
-    assign_level_h(state, finish_levels(state))
+    try:
+        for level in range(1, inst.params.h):
+            greedy_color_level(state, level, rng=rng)
+            if trace is not None:
+                trace({"stage": "level", "i": level})
+        assign_level_h(state, finish_levels(state))
+    except (GreedyStuck, NegativeTopLevelQuota) as exc:
+        if bound_holds(inst.params.n, inst.params.m, inst.params.h):
+            raise InternalInvariantViolation(str(exc)) from exc
+        raise
     return detach_all(state, trace=trace, hook=hook)
 
 

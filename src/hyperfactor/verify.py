@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import lt
 
 from .combinatorics import binom
 from .model import Certificate, EdgeClass, Instance
@@ -35,7 +36,8 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
     (c) regularity: every vertex of [1, n] has degree exactly r_j in every
         color class j.
     Failures are reported with their first counterexamples rather than
-    raised.
+    raised. A malformed class (say, an unsorted support) is reported once and
+    enters no other check.
     """
     p = cert.params
     failures: list[dict] = []
@@ -49,25 +51,24 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
         return VerifyReport(ok=False, failures=failures)
 
     totals: dict[tuple[int, ...], int] = {}
+    inside: list[EdgeClass] = []   # the well-formed classes with supports in [1, m]
     degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
     is_vertex, is_color = range(1, p.n + 1).__contains__, range(p.k).__contains__
     for cls in cert.coloring:
-        colors = cls.colors
-        if (cls.amalgam != 0 or len(cls.support) != p.h
-                or len(set(cls.support)) != p.h or not all(map(is_vertex, cls.support))
+        support, colors = cls.support, cls.colors
+        if (cls.amalgam != 0 or len(support) != p.h
+                or not all(map(is_vertex, support)) or not all(map(lt, support, support[1:]))
                 or not all(map(is_color, colors)) or min(colors.values(), default=1) < 1):
-            fail("completeness", f"malformed class {cls.support} (amalgam={cls.amalgam})")
+            fail("completeness", f"malformed class {support} (amalgam={cls.amalgam})")
             continue
-        support = tuple(sorted(cls.support))
         totals[support] = totals.get(support, 0) + sum(colors.values())
+        if support[-1] <= p.m:
+            inside.append(cls)
         for j, cnt in colors.items():
             for v in support:
                 degrees[v][j] += cnt
 
-    restricted = _summed_colors(cls for cls in cert.coloring
-                                if cls.support and cls.support[-1] <= p.m
-                                and len(cls.support) == p.h)
-    given = _summed_colors(inst.coloring)
+    restricted, given = _summed_colors(inside), _summed_colors(inst.coloring)
     for support in sorted(set(given) | set(restricted)):
         want, got = given.get(support, {}), restricted.get(support, {})
         if want != got:

@@ -12,7 +12,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperfactor import cli, errors, generate
+from hyperfactor import cli, detach, errors, generate, pipeline
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import HyperfactorError, InfeasibleTransport
 from hyperfactor.model import parse_certificate
@@ -35,6 +35,13 @@ def run_cli(args):
 
 def _stuck_greedy(state, level, rng=None):
     raise errors.GreedyStuck((1,), level)
+
+
+def _raising(error):
+    """A stand-in for any stage that raises ``error``."""
+    def broken(*args, **kwargs):
+        raise error("forced for test")
+    return broken
 
 
 class TestExitCodes:
@@ -443,6 +450,26 @@ class TestSweep:
             ("6", "ok", "false"), ("7", "inadmissible", ""), ("8", "ok", "true")]
         assert captured.err.splitlines() == [
             "error: 2 sweep cell(s) failed verification, first (2, 2, 6, 1, 'ones', 0, False)"]
+
+    @pytest.mark.parametrize("module, name, broken, kind, outcome", [
+        (detach, "solve_transportation", _raising(InfeasibleTransport),
+         "InfeasibleTransport", "infeasible"),
+        (detach, "build_transportation", _raising(errors.InternalInvariantViolation),
+         "InternalInvariantViolation", "error"),
+        (pipeline, "greedy_color_level", _stuck_greedy,   # stuck above the bound: a bug
+         "InternalInvariantViolation", "error"),
+    ], ids=["infeasible", "invariant", "greedy_stuck"])
+    def test_cell_error_extend_exits_6_on_fails_the_sweep(self, monkeypatch, capsys, module,
+                                                          name, broken, kind, outcome):
+        monkeypatch.setattr(module, name, broken)
+        assert run_cli(["sweep", "--h", "2", "--m", "2..3", "--n", "2m+2"]) == 6
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(row["n"], row["bound"], row["outcome"]) for row in rows] == [
+            ("6", "true", outcome), ("8", "true", outcome)]
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: 2 sweep cell(s) crashed, first (2, 2, 6, 1, 'ones', 0, False): {kind}: "), err
 
     def test_killed_worker_exits_6(self, monkeypatch, capsys):
         # The pool sends ``_kill_worker`` to its workers by name, so each one dies.

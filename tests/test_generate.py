@@ -81,3 +81,11 @@ class TestRandomInstance:
         monkeypatch.setattr(generate, "_NODE_BUDGET", 1)
         with pytest.raises(GenerationFailed, match="after 0 restarts"):
             random_instance(Parameters(n=8, m=7, h=2, lam=1, r=(1,) * 7), seed=0)
+
+    def test_deep_search_runs_without_recursion(self, monkeypatch):
+        # 1 176 copies: a search that recursed once per copy would outgrow the
+        # interpreter's stack long before this budget is spent.
+        monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)
+        monkeypatch.setattr(generate, "_NODE_BUDGET", 2_000)
+        with pytest.raises(GenerationFailed, match="after 0 restarts"):
+            random_instance(Parameters(n=50, m=49, h=2, lam=1, r=(1,) * 49), seed=0)

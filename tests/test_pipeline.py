@@ -6,7 +6,8 @@ import hashlib
 import pytest
 
 from hyperfactor.combinatorics import binom, bound_holds
-from hyperfactor.errors import GreedyStuck, NegativeTopLevelQuota
+from hyperfactor import pipeline
+from hyperfactor.errors import GreedyStuck, InternalInvariantViolation, NegativeTopLevelQuota
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
     Instance,
@@ -34,6 +35,10 @@ STUCK_DOC = (
     '{"support":[2,3,5],"alpha":0,"colors":{"3":1}},'
     '{"support":[2,4,5],"alpha":0,"colors":{"5":1}},'
     '{"support":[3,4,5],"alpha":0,"colors":{"5":1}}]}\n')
+
+
+def _stuck_greedy(state, level, rng=None):
+    raise GreedyStuck((1,), level)
 
 
 class TestExtendInstance:
@@ -83,6 +88,18 @@ class TestExtendInstance:
         })
         with pytest.raises(NegativeTopLevelQuota):
             extend_instance(inst)
+
+    @pytest.mark.parametrize("name, broken, message", [
+        ("greedy_color_level", _stuck_greedy, "no feasible color for edge {1} at level 1"),
+        ("finish_levels", lambda state: [-1, 1, 2], "color 1 needs -1 all-new edges"),
+    ], ids=["greedy_stuck", "negative_quota"])
+    def test_stuck_above_the_bound_is_a_bug(self, worked_instance, monkeypatch,
+                                            name, broken, message):
+        monkeypatch.setattr(pipeline, name, broken)
+        with pytest.raises(InternalInvariantViolation) as caught:
+            extend_instance(worked_instance)
+        assert str(caught.value) == message
+        assert isinstance(caught.value.__cause__, (GreedyStuck, NegativeTopLevelQuota))
 
     def test_below_bound_can_still_succeed(self):
         # below the bound the greedy is best-effort, not doomed

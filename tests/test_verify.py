@@ -57,6 +57,16 @@ class TestVerifyCertificate:
         # a certificate built by hand, not by the pipeline, still verifies
         assert verify_certificate(worked_certificate(worked_instance), worked_instance).ok
 
+    def test_unsorted_support_is_malformed_and_checked_no_further(self, worked_instance):
+        cert = worked_certificate(worked_instance)
+        cert.coloring = [EdgeClass(support=(3, 1), amalgam=0, colors=c.colors)
+                         if c.support == (1, 3) else c for c in cert.coloring]
+        report = verify_certificate(cert, worked_instance)
+        malformed = [f for f in report.failures if f["detail"].startswith("malformed class")]
+        assert malformed == [{"kind": "completeness",
+                              "detail": "malformed class (3, 1) (amalgam=0)"}]
+        assert not any(f["kind"] == "extension" for f in report.failures), report.failures
+
     def test_parameter_mismatch_fails(self, worked_instance):
         cert = worked_certificate(worked_instance)
         other = make_instance(4, 2, 2, 1, (2, 1), {(1, 2): {1: 1}})
