@@ -210,9 +210,10 @@ def greedy_color_level(state: AmalgamState, level: int,
 def finish_levels(state: AmalgamState) -> list[int]:
     """Check exact saturation after the last greedy level; return the top quotas.
 
-    Once levels 1..h-1 are colored, every original vertex must sit at degree
-    exactly r_j in every color (its total capacity equals its total edge
-    count). Color j of an r_j-factor of lambda K_n^h has r_j * n / h copies
+    Once levels 1..h-1 are colored, every original vertex's degree row must
+    equal r (its total capacity equals its total edge count); each row is
+    compared whole, and only a differing one is walked to name its first bad
+    color. Color j of an r_j-factor of lambda K_n^h has r_j * n / h copies
     (an integer by admissibility, which ``build_amalgam`` checked), so its
     level-h quota is that minus the copies of color j the classes already
     hold. A quota may be negative; ``assign_level_h`` rejects it.
@@ -222,11 +223,13 @@ def finish_levels(state: AmalgamState) -> list[int]:
         raise InternalInvariantViolation(
             f"finish_levels called with level_done={state.level_done}, expected {p.h - 1}")
 
+    r = list(p.r)
     for v, row in state.degrees.items():
-        for j, d in enumerate(row):
-            if d != p.r[j]:
-                raise InternalInvariantViolation(
-                    f"vertex {v} has degree {d} in color {j + 1}, expected {p.r[j]}")
+        if row != r:
+            for j, d in enumerate(row):
+                if d != r[j]:
+                    raise InternalInvariantViolation(
+                        f"vertex {v} has degree {d} in color {j + 1}, expected {r[j]}")
 
     placed = [0] * p.k
     for cls in state.classes.values():

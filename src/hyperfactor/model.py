@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import gt
 
 from .combinatorics import binom
 from .errors import SchemaError, TooLarge
@@ -190,11 +191,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 for j, cnt in cls.colors.items():
                     degrees[v][j] += cnt
         for v, row in degrees.items():
-            for j, d in enumerate(row, start=1):
-                if d > p.r[j - 1]:
-                    issues.append(ValidationIssue(
-                        "degree_cap_exceeded",
-                        f"vertex {v} has degree {d} in color {j}, cap {p.r[j - 1]}"))
+            if any(map(gt, row, p.r)):
+                for j, d in enumerate(row, start=1):
+                    if d > p.r[j - 1]:
+                        issues.append(ValidationIssue(
+                            "degree_cap_exceeded",
+                            f"vertex {v} has degree {d} in color {j}, cap {p.r[j - 1]}"))
 
     return ValidationReport(ok=not issues, issues=issues)
 
@@ -267,12 +269,15 @@ def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeCla
             support = entry["support"]
             if type(support) is not list:
                 raise _BadField("expected a list", ".support")
-            for i, v in enumerate(support):
-                if type(v) is not int:
-                    raise _BadField("expected an integer", f".support[{i}]")
-            for i, v in enumerate(support):
-                if v < 1 or v > max_vertex:
-                    raise _BadField(f"vertex {v} outside [1, {max_vertex}]", f".support[{i}]")
+            for v in support:   # a bad support is walked again: first bad type, then range
+                if type(v) is not int or v < 1 or v > max_vertex:
+                    for i, u in enumerate(support):
+                        if type(u) is not int:
+                            raise _BadField("expected an integer", f".support[{i}]")
+                    for i, u in enumerate(support):
+                        if u < 1 or u > max_vertex:
+                            raise _BadField(f"vertex {u} outside [1, {max_vertex}]",
+                                            f".support[{i}]")
             support = tuple(sorted(support))
             if len(set(support)) != len(support):
                 raise _BadField("repeated vertex in support", ".support")
@@ -353,41 +358,41 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(params=params, coloring=coloring, report=report)
 
 
-def _edges_payload(coloring: list[EdgeClass]) -> list[dict]:
+def _edges_text(coloring: list[EdgeClass]) -> str:
+    """The canonical ``edges`` array as JSON text, written one class at a time."""
     merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
     for cls in coloring:
         key, more = cls.key(), cls.colors
         counts = merged.get(key)
         merged[key] = more if counts is None else {   # a repeated class: sum into a new map
             j: counts.get(j, 0) + more.get(j, 0) for j in counts.keys() | more.keys()}
-    payload = []
+    entries = []
     for (support, alpha), counts in sorted(merged.items()):
-        colors = {str(j + 1): cnt for j, cnt in sorted(counts.items()) if cnt}
+        colors = ",".join([f'"{j + 1}":{cnt}' for j, cnt in sorted(counts.items()) if cnt])
         if colors:
-            payload.append({"support": list(support), "alpha": alpha, "colors": colors})
-    return payload
+            vertices = ",".join(map(str, support))
+            entries.append(f'{{"support":[{vertices}],"alpha":{alpha},"colors":{{{colors}}}}}')
+    return f"[{','.join(entries)}]"
 
 
-def _params_payload(params: Parameters) -> dict:
-    return {
-        "n": params.n,
-        "m": params.m,
-        "h": params.h,
-        "lambda": params.lam,
-        "r": list(params.r),
-    }
+def _params_text(params: Parameters) -> str:
+    """The parameters as a JSON object's text, left open for the fields that follow."""
+    return json.dumps({"n": params.n, "m": params.m, "h": params.h, "lambda": params.lam,
+                       "r": list(params.r)}, separators=(",", ":"))[:-1]
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Canonical single-line JSON; round-trips through parse_instance."""
-    doc = _params_payload(inst.params)
-    doc["edges"] = _edges_payload(inst.coloring)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """Canonical single-line JSON; round-trips through parse_instance.
+
+    The edge classes are written as text, in the bytes ``json.dumps`` gives.
+    """
+    return f'{_params_text(inst.params)},"edges":{_edges_text(inst.coloring)}}}\n'
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    """Canonical single-line JSON; round-trips through parse_certificate."""
-    doc = _params_payload(cert.params)
-    doc["edges"] = _edges_payload(cert.coloring)
-    doc["report"] = cert.report if cert.report is not None else {}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """Canonical single-line JSON; round-trips through parse_certificate.
+
+    Edges are written as in ``serialize_instance``; the report goes through ``json.dumps``.
+    """
+    report = json.dumps(cert.report if cert.report is not None else {}, separators=(",", ":"))
+    return f'{_params_text(cert.params)},"edges":{_edges_text(cert.coloring)},"report":{report}}}\n'

@@ -231,6 +231,13 @@ class TestFinishLevels:
         for row in state.degrees.values():
             assert row == [1] * 28
 
+    def test_unsaturated_vertex_is_named(self, worked_instance):
+        state = colored_state(worked_instance)
+        state.degrees[2][0] = 0
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^vertex 2 has degree 0 in color 1, expected 1$"):
+            finish_levels(state)
+
     def test_incomplete_levels_rejected(self, worked_instance):
         state = build_amalgam(worked_instance)
         with pytest.raises(InternalInvariantViolation):

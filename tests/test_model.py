@@ -12,6 +12,7 @@ from hyperfactor.generate import random_instance
 from hyperfactor.model import (
     Certificate,
     EdgeClass,
+    Instance,
     Parameters,
     is_admissible,
     parse_certificate,
@@ -21,8 +22,10 @@ from hyperfactor.model import (
     validate_instance,
 )
 from hyperfactor.pipeline import extend_instance
+from hyperfactor.verify import verify_certificate
 
 from conftest import make_instance
+from test_pipeline import GOLDEN_CERTIFICATES
 
 
 class TestParameters:
@@ -235,6 +238,63 @@ class TestSerialization:
         assert serialize_instance(again) == text
         assert again.params == inst.params
         assert [c.key() for c in again.coloring] == [c.key() for c in inst.coloring]
+
+
+def reference_edges_payload(coloring: list[EdgeClass]) -> list[dict]:
+    merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    for cls in coloring:
+        key, more = cls.key(), cls.colors
+        counts = merged.get(key)
+        merged[key] = more if counts is None else {   # a repeated class: sum into a new map
+            j: counts.get(j, 0) + more.get(j, 0) for j in counts.keys() | more.keys()}
+    payload = []
+    for (support, alpha), counts in sorted(merged.items()):
+        colors = {str(j + 1): cnt for j, cnt in sorted(counts.items()) if cnt}
+        if colors:
+            payload.append({"support": list(support), "alpha": alpha, "colors": colors})
+    return payload
+
+
+def reference_text(params: Parameters, coloring: list[EdgeClass], report=None) -> str:
+    """The canonical document as ``json.dumps`` writes it whole; a report makes a certificate.
+
+    The oracle for the serializers, which write the edge classes as text.
+    """
+    doc = {"n": params.n, "m": params.m, "h": params.h, "lambda": params.lam,
+           "r": list(params.r), "edges": reference_edges_payload(coloring)}
+    if report is not None:
+        doc["report"] = report
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+class TestSerializerReference:
+    """Both serializers write the bytes ``reference_text`` writes."""
+
+    @staticmethod
+    def check(params, coloring, report):
+        assert serialize_instance(Instance(params, coloring)) == reference_text(params, coloring)
+        assert (serialize_certificate(Certificate(params, coloring, report))
+                == reference_text(params, coloring, report))
+
+    def test_hand_built_coloring(self):
+        coloring = [
+            EdgeClass(support=(2, 3), amalgam=0, colors={3: 1, 0: 1}),
+            EdgeClass(support=(1, 2), amalgam=1, colors={2: 1, 0: 1}),
+            EdgeClass(support=(1, 2), amalgam=0, colors={1: 1}),
+            EdgeClass(support=(2, 3), amalgam=0, colors={0: 1, 2: 0}),   # repeated, a zero count
+            EdgeClass(support=(1, 3), amalgam=0, colors={1: 0, 2: 0}),   # all zero: left out
+            EdgeClass(support=(1, 2), amalgam=0, colors={1: 1, 3: 2}),
+        ]
+        params = Parameters(n=5, m=3, h=2, lam=3, r=(3, 3, 3, 3))
+        self.check(params, coloring, {"pass": False, "failures": [{"kind": "x", "detail": "é"}]})
+        self.check(params, [], {})
+
+    @pytest.mark.parametrize("params, seed", [golden[:2] for golden in GOLDEN_CERTIFICATES])
+    def test_golden_certificates(self, params, seed):
+        inst = random_instance(params, seed=seed)
+        cert = extend_instance(inst, seed=seed)
+        self.check(params, inst.coloring, {})
+        self.check(params, cert.coloring, verify_certificate(cert, inst).to_json())
 
 
 class TestParseErrorLocations:

@@ -1,12 +1,24 @@
 """Unit tests for the verifier and the brute-force oracle."""
 from __future__ import annotations
 
+from itertools import combinations
+from operator import lt
+
 import pytest
 
+from hyperfactor.combinatorics import binom
 from hyperfactor.generate import random_instance
-from hyperfactor.model import Certificate, EdgeClass, Parameters
+from hyperfactor.model import Certificate, EdgeClass, Instance, Parameters
 from hyperfactor.pipeline import extend_instance
-from hyperfactor.verify import EXHAUSTED, TOO_LARGE, brute_force_extend, verify_certificate
+from hyperfactor.verify import (
+    _MAX_FAILURES,
+    EXHAUSTED,
+    TOO_LARGE,
+    VerifyReport,
+    _summed_colors,
+    brute_force_extend,
+    verify_certificate,
+)
 
 from conftest import make_instance
 
@@ -122,6 +134,130 @@ class TestPerturbation:
                         got = kinds(idx, moved)
                         assert "regularity" in got and "completeness" not in got, (cls, j, other)
                         assert ("extension" in got) == inside, (cls, j, other)
+
+
+def reference_verify(cert: Certificate, inst: Instance) -> VerifyReport:
+    """Check extension, completeness and regularity of a certificate.
+
+    ``verify_certificate`` as it was when every check walked each class,
+    subset and degree cell; the test oracle for its bulk verdicts.
+    """
+    p = cert.params
+    failures: list[dict] = []
+
+    def fail(kind: str, detail: str) -> None:
+        if len(failures) < _MAX_FAILURES:
+            failures.append({"kind": kind, "detail": detail})
+
+    if p != inst.params:
+        fail("extension", "certificate and instance parameters differ")
+        return VerifyReport(ok=False, failures=failures)
+
+    totals: dict[tuple[int, ...], int] = {}
+    inside: list[EdgeClass] = []   # the well-formed classes with supports in [1, m]
+    degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
+    is_vertex, is_color = range(1, p.n + 1).__contains__, range(p.k).__contains__
+    for cls in cert.coloring:
+        support, colors = cls.support, cls.colors
+        if (cls.amalgam != 0 or len(support) != p.h
+                or not all(map(is_vertex, support)) or not all(map(lt, support, support[1:]))
+                or not all(map(is_color, colors)) or min(colors.values(), default=1) < 1):
+            fail("completeness", f"malformed class {support} (amalgam={cls.amalgam})")
+            continue
+        totals[support] = totals.get(support, 0) + sum(colors.values())
+        if support[-1] <= p.m:
+            inside.append(cls)
+        for j, cnt in colors.items():
+            for v in support:
+                degrees[v][j] += cnt
+
+    restricted, given = _summed_colors(inside), _summed_colors(inst.coloring)
+    for support in sorted(set(given) | set(restricted)):
+        want, got = given.get(support, {}), restricted.get(support, {})
+        if want != got:
+            fail("extension",
+                 f"{set(support)}: instance colors {want}, certificate colors {got}")
+
+    for subset in combinations(range(1, p.n + 1), p.h):
+        got = totals.get(subset, 0)
+        if got != p.lam:
+            fail("completeness",
+                 f"{set(subset)} has multiplicity {got}, expected {p.lam}")
+
+    for v in range(1, p.n + 1):
+        for j in range(p.k):
+            if degrees[v][j] != p.r[j]:
+                fail("regularity",
+                     f"vertex {v} has degree {degrees[v][j]} in color {j + 1}, "
+                     f"expected {p.r[j]}")
+
+    return VerifyReport(ok=not failures, failures=failures)
+
+
+def malformed_colorings(cert: Certificate):
+    """``cert``'s coloring with each malformed change made to each class in turn,
+    then with a class added, a class left out, and every class malformed."""
+    n, k = cert.params.n, cert.params.k
+    changes = [
+        lambda s, c: (s, 1, c),
+        lambda s, c: (s, None, c),
+        lambda s, c: (s[:-1], 0, c),                   # a support of length h - 1
+        lambda s, c: ((0,) + s[1:], 0, c),
+        lambda s, c: (s[:-1] + (n + 1,), 0, c),
+        lambda s, c: ((True,) + s[1:], 0, c),
+        lambda s, c: (s[::-1], 0, c),                  # unsorted
+        lambda s, c: (s[:1] * len(s), 0, c),           # a repeated vertex
+        lambda s, c: (s, 0, {k: 1}),
+        lambda s, c: (s, 0, {-1: 1}),
+        lambda s, c: (s, 0, dict.fromkeys(c, 0)),
+        lambda s, c: (s, 0, dict.fromkeys(c, -1)),
+        lambda s, c: (s, 0, dict.fromkeys(c, 0.5)),
+    ]
+    for change in changes:
+        for idx, cls in enumerate(cert.coloring):
+            coloring = list(cert.coloring)
+            coloring[idx] = EdgeClass(*change(cls.support, cls.colors))
+            yield coloring
+    yield cert.coloring + [cert.coloring[1]]
+    yield cert.coloring[1:]
+    yield [EdgeClass(support=c.support, amalgam=1, colors=c.colors) for c in cert.coloring]
+
+
+class TestBulkVerdicts:
+    """``verify_certificate`` reports exactly what ``reference_verify`` reports."""
+
+    @staticmethod
+    def same_report(cert, inst) -> dict:
+        want = reference_verify(cert, inst).to_json()
+        assert verify_certificate(cert, inst).to_json() == want, cert.coloring
+        return want
+
+    @pytest.mark.parametrize("n, m, h, lam, r", [
+        (8, 4, 2, 1, (2, 2, 1, 1, 1)),
+        (9, 3, 3, 1, (1,) * 28),
+        (6, 3, 2, 2, (1,) * 10),
+    ])
+    def test_every_drop_and_move(self, n, m, h, lam, r):
+        inst = random_instance(Parameters(n=n, m=m, h=h, lam=lam, r=r), seed=1)
+        cert = extend_instance(inst)
+        assert self.same_report(cert, inst)["pass"] is True
+        for idx, cls in enumerate(cert.coloring):
+            for j, cnt in cls.colors.items():
+                dropped = {**cls.colors, j: cnt - 1}
+                if cnt == 1:
+                    del dropped[j]
+                self.same_report(perturbed(cert, idx, dropped), inst)
+                for other in range(len(r)):
+                    if other != j:
+                        moved = {**dropped, other: dropped.get(other, 0) + 1}
+                        self.same_report(perturbed(cert, idx, moved), inst)
+
+    def test_malformed_classes(self, worked_instance):
+        cert = worked_certificate(worked_instance)
+        for coloring in malformed_colorings(cert):
+            report = self.same_report(Certificate(params=cert.params, coloring=coloring),
+                                      worked_instance)
+        assert len(report["failures"]) == _MAX_FAILURES   # 25 failures, capped
 
 
 class TestBruteForceExtend:
