@@ -3,16 +3,10 @@
 The engine amalgamates the n - m missing vertices into one placeholder,
 greedily colors the new edge classes level by level under the target degree
 caps, then detaches the new vertices one at a time, each step solved as an
-exact integral transportation problem. An independent verifier and a
-brute-force oracle check the results.
+exact integral transportation problem. An independent verifier checks the
+results.
 """
-from .combinatorics import (
-    binom,
-    blocked_degree_bound,
-    bound_holds,
-    outside_majority_holds,
-    vandermonde_sum,
-)
+from .combinatorics import binom, bound_holds
 from .errors import (
     BadArgument,
     BelowBound,
@@ -41,18 +35,17 @@ from .model import (
 )
 from .generate import random_instance
 from .pipeline import extend_instance, single_edge_instance
-from .verify import EXHAUSTED, TOO_LARGE, brute_force_extend, verify_certificate
+from .verify import verify_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "binom", "vandermonde_sum", "bound_holds", "outside_majority_holds",
-    "blocked_degree_bound",
+    "binom", "bound_holds",
     "Parameters", "EdgeClass", "Instance", "Certificate",
     "is_admissible", "validate_instance",
     "parse_instance", "serialize_instance", "parse_certificate", "serialize_certificate",
     "random_instance", "extend_instance", "single_edge_instance",
-    "verify_certificate", "brute_force_extend", "EXHAUSTED", "TOO_LARGE",
+    "verify_certificate",
     "HyperfactorError", "SchemaError", "InadmissibleParameters", "InvalidInstance",
     "GreedyStuck", "NegativeTopLevelQuota",
     "InfeasibleTransport", "InternalInvariantViolation", "GenerationFailed",

@@ -1,7 +1,8 @@
-"""Exact integer combinatorics underpinning the extension engine.
+"""Exact integer combinatorics that the extension engine calls.
 
-Everything here is arbitrary-precision integer arithmetic; there is no
-floating point anywhere in this module. Counts are plain Python ints.
+Binomial coefficients and the exact test of the extension bound. Everything
+here is arbitrary-precision integer arithmetic; there is no floating point
+anywhere in this module. Counts are plain Python ints.
 """
 from __future__ import annotations
 
@@ -18,17 +19,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return comb(a, b)
-
-
-def vandermonde_sum(n: int, m: int, h: int) -> int:
-    """Sum_{i=0}^{h} C(m, h-i) * C(n-m, i).
-
-    By Vandermonde's convolution this equals C(n, h); callers use the two
-    routes as a cross-check. Requires n >= m >= h >= 1.
-    """
-    if not (n >= m >= h >= 1):
-        raise ValueError(f"vandermonde_sum: need n >= m >= h >= 1, got {(n, m, h)}")
-    return sum(binom(m, h - i) * binom(n - m, i) for i in range(h + 1))
 
 
 def bound_holds(n: int, m: int, h: int) -> bool:
@@ -49,32 +39,3 @@ def bound_holds(n: int, m: int, h: int) -> bool:
     if lhs_base <= 0:
         return False
     return 2 * lhs_base ** (h - 1) > (n - h + 1) ** (h - 1)
-
-
-def outside_majority_holds(n: int, m: int, h: int) -> bool:
-    """True iff 2 * C(n-m, h-1) > C(n-1, h-1).
-
-    At any fixed vertex, C(n-1, h-1) counts the ways to complete an edge and
-    C(n-m, h-1) the completions avoiding the first m vertices entirely; this
-    asks whether the avoiding completions, doubled, win. It is implied by
-    ``bound_holds`` and drives the level-coloring feasibility argument.
-    """
-    if not (n >= m >= h >= 2):
-        raise ValueError(f"outside_majority_holds: need n >= m >= h >= 2, got {(n, m, h)}")
-    return 2 * binom(n - m, h - 1) > binom(n - 1, h - 1)
-
-
-def blocked_degree_bound(n: int, m: int, h: int, level: int) -> int:
-    """(h - level) * Sum_{l=1}^{level+1} C(m-1, h-l) * C(n-m, l-1).
-
-    Upper bound on the total colored degree the h - level original vertices
-    of a still-uncolored level-``level`` edge can have accumulated once all
-    lower levels are colored. Strictly below C(n-1, h-1) for
-    level in [1, h-2] whenever ``bound_holds``; equal to it at level = h-1.
-    """
-    if not (n >= m >= h >= 2):
-        raise ValueError(f"blocked_degree_bound: need n >= m >= h >= 2, got {(n, m, h)}")
-    if not (1 <= level <= h):
-        raise ValueError(f"blocked_degree_bound: need 1 <= level <= h, got {level}")
-    inner = sum(binom(m - 1, h - l) * binom(n - m, l - 1) for l in range(1, level + 2))
-    return (h - level) * inner

@@ -1,4 +1,4 @@
-"""Independent certificate verification and a brute-force oracle.
+"""Independent certificate verification.
 
 The verifier recomputes every degree and multiplicity from the certificate
 alone so that it can catch pipeline bugs; it deliberately shares no
@@ -117,101 +117,3 @@ def _summed_colors(coloring) -> dict[tuple[int, ...], dict[int, int]]:
             counts[j] = counts.get(j, 0) + cnt
     return {support: {j + 1: cnt for j, cnt in sorted(counts.items()) if cnt}
             for support, counts in summed.items()}
-
-
-class _Marker:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-EXHAUSTED = _Marker("EXHAUSTED")
-TOO_LARGE = _Marker("TOO_LARGE")
-
-
-def brute_force_extend(inst: Instance, copy_budget: int = 60):
-    """Backtracking oracle for tiny instances.
-
-    Colors the copies of lambda K_n^h missing from lambda K_m^h one at a
-    time, under the degree caps and the exact per-color quota of
-    r_j * n / h edge copies. Returns a Certificate, EXHAUSTED when no
-    extension exists, or TOO_LARGE when the number of new copies exceeds
-    ``copy_budget``. Independent of the construction pipeline.
-    """
-    p = inst.params
-    new_copies = p.lam * (binom(p.n, p.h) - binom(p.m, p.h))
-    if new_copies > copy_budget:
-        return TOO_LARGE
-
-    if sum(p.r) != p.lam * binom(p.n - 1, p.h - 1):
-        return EXHAUSTED
-    if any((rj * p.n) % p.h for rj in p.r):
-        return EXHAUSTED
-    quotas = [(rj * p.n) // p.h for rj in p.r]
-
-    degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
-    used = [0] * p.k
-    for cls in inst.coloring:
-        for j, cnt in cls.colors.items():
-            used[j] += cnt
-            for v in cls.support:
-                degrees[v][j] += cnt
-
-    subsets = [s for s in combinations(range(1, p.n + 1), p.h) if s[-1] > p.m]
-    remaining = {s: p.lam for s in subsets}
-    assignment: dict[tuple[int, ...], list[int]] = {s: [] for s in subsets}
-
-    def feasible_colors(subset: tuple[int, ...], min_color: int) -> list[int]:
-        return [j for j in range(min_color, p.k)
-                if used[j] < quotas[j]
-                and all(degrees[v][j] < p.r[j] for v in subset)]
-
-    def pick_subset():
-        best = None
-        best_options = None
-        for s in subsets:
-            if remaining[s] == 0:
-                continue
-            floor = assignment[s][-1] if assignment[s] else 0
-            options = feasible_colors(s, floor)
-            if not options:
-                return s, []
-            if best_options is None or len(options) < len(best_options):
-                best, best_options = s, options
-                if len(options) == 1:
-                    break
-        return best, best_options
-
-    def search() -> bool:
-        subset, options = pick_subset()
-        if subset is None:
-            return True
-        for j in options:
-            used[j] += 1
-            for v in subset:
-                degrees[v][j] += 1
-            assignment[subset].append(j)
-            remaining[subset] -= 1
-            if search():
-                return True
-            remaining[subset] += 1
-            assignment[subset].pop()
-            for v in subset:
-                degrees[v][j] -= 1
-            used[j] -= 1
-        return False
-
-    if not search():
-        return EXHAUSTED
-
-    coloring = [EdgeClass(support=c.support, amalgam=0, colors=dict(c.colors))
-                for c in inst.coloring]
-    for subset in subsets:
-        counts: dict[int, int] = {}
-        for j in assignment[subset]:
-            counts[j] = counts.get(j, 0) + 1
-        coloring.append(EdgeClass(support=subset, amalgam=0, colors=counts))
-    coloring.sort(key=lambda c: c.key())
-    return Certificate(params=p, coloring=coloring, report=None)

@@ -11,18 +11,21 @@ from fractions import Fraction
 from itertools import count
 
 from hyperfactor import cli
-from hyperfactor.combinatorics import (
-    binom,
+from hyperfactor.combinatorics import binom, bound_holds
+from hyperfactor.errors import InadmissibleParameters
+from hyperfactor.generate import random_instance
+from hyperfactor.model import Parameters, is_admissible, parse_certificate
+from hyperfactor.pipeline import extend_instance
+from hyperfactor.verify import verify_certificate
+
+from oracles import (
+    EXHAUSTED,
+    TOO_LARGE,
     blocked_degree_bound,
-    bound_holds,
+    brute_force_extend,
     outside_majority_holds,
     vandermonde_sum,
 )
-from hyperfactor.generate import random_instance
-from hyperfactor.model import Parameters, parse_certificate
-from hyperfactor.pipeline import extend_instance
-from hyperfactor.verify import EXHAUSTED, TOO_LARGE, brute_force_extend, verify_certificate
-
 from test_pipeline import STUCK_DOC
 
 WORKED_DOC = ('{"n":4,"m":2,"h":2,"lambda":1,"r":[1,1,1],'
@@ -213,13 +216,28 @@ def test_criterion_7_detachment_invariants():
 
 def test_criterion_8_oracle_agreement():
     with criterion(8, "brute force and pipeline agree on every <= 60-copy cell"):
-        cells = [
-            ones_params(4, 2, 2, 1),
-            ones_params(6, 2, 2, 1),
-            ones_params(6, 3, 2, 1),
-            Parameters(n=6, m=3, h=2, lam=2, r=(2, 2, 2, 2, 2)),
-            Parameters(n=8, m=3, h=2, lam=1, r=(2, 2, 1, 1, 1)),
-        ]
+        # Every admissible above-bound cell of h 2-4, m h..9, n m+1..3m+5,
+        # lambda 1-3 and the three r patterns that needs <= 60 new copies.
+        # All 54 are h=2: the smallest such h=3 cell already needs 83.
+        cells = []
+        for h in (2, 3, 4):
+            for m in range(h, 10):
+                for n in range(m + 1, 3 * m + 6):
+                    if not bound_holds(n, m, h):
+                        continue
+                    for lam in (1, 2, 3):
+                        if lam * (binom(n, h) - binom(m, h)) > 60:
+                            continue
+                        for pattern in ("ones", "uniform:2", "uniform:3"):
+                            try:
+                                r = cli.build_r_vector(pattern, n, h, lam)
+                            except InadmissibleParameters:
+                                continue
+                            params = Parameters(n=n, m=m, h=h, lam=lam, r=r)
+                            if is_admissible(params):
+                                cells.append(params)
+        assert len(cells) == 54
+        cells.append(Parameters(n=8, m=3, h=2, lam=1, r=(2, 2, 1, 1, 1)))   # mixed r
         for params in cells:
             new_copies = params.lam * (binom(params.n, params.h) - binom(params.m, params.h))
             assert new_copies <= 60

@@ -2,14 +2,18 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 
 from hyperfactor.combinatorics import binom, bound_holds
-from hyperfactor import pipeline
+from hyperfactor import cli, pipeline
 from hyperfactor.errors import GreedyStuck, InternalInvariantViolation, NegativeTopLevelQuota
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
+    Certificate,
+    EdgeClass,
     Instance,
     Parameters,
     parse_instance,
@@ -203,3 +207,72 @@ def test_golden_certificate_bytes(params, seed, digest):
     cert = extend_instance(inst, seed=seed)
     cert.report = verify_certificate(cert, inst).to_json()
     assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() == digest
+
+
+def _relabel(coloring, vertex, color):
+    """The classes with each vertex v renamed vertex[v] and each color j color[j]."""
+    return sorted((EdgeClass(support=tuple(sorted(vertex[v] for v in cls.support)),
+                             amalgam=cls.amalgam,
+                             colors=dict(sorted((color[j], cnt) for j, cnt in cls.colors.items())))
+                   for cls in coloring), key=EdgeClass.key)
+
+
+class TestMetamorphic:
+    """Renaming vertices, or colors of equal target degree, changes no verdict."""
+
+    CELLS = [(8, 3, 2, 1, "ones"), (8, 3, 2, 1, "2,2,1,1,1"), (10, 4, 2, 2, "uniform:2"),
+             (9, 3, 3, 1, "ones"), (12, 3, 3, 1, "ones")]
+
+    @staticmethod
+    def case(cell, seed):
+        """The cell's instance, a seeded rng, a permutation pi of [1, m], the same
+        pi extended by a permutation of [m+1, n], and a permutation sigma of the
+        colors within each group of equal r_j."""
+        n, m, h, lam, pattern = cell
+        params = Parameters(n=n, m=m, h=h, lam=lam, r=cli.build_r_vector(pattern, n, h, lam))
+        rng = random.Random(seed)
+        pi = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+        both = {**pi, **dict(zip(range(m + 1, n + 1), rng.sample(range(m + 1, n + 1), n - m)))}
+        sigma = {}
+        for rj in sorted(set(params.r)):
+            group = [j for j in range(params.k) if params.r[j] == rj]
+            sigma.update(zip(group, rng.sample(group, len(group))))
+        return random_instance(params, seed=seed), rng, pi, both, sigma
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "_".join(map(str, cell)))
+    def test_transformed_instance_extends(self, cell, seed):
+        inst, _, pi, _, sigma = self.case(cell, seed)
+        moved = Instance(params=inst.params, coloring=_relabel(inst.coloring, pi, sigma))
+        assert validate_instance(moved).ok
+        cert = extend_instance(moved, seed=seed)
+        # verification includes the extension check: restricted to [1, m],
+        # the certificate is the transformed instance
+        assert verify_certificate(cert, moved).ok
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda cell: "_".join(map(str, cell)))
+    def test_relabeling_keeps_the_verdict(self, cell, seed):
+        inst, rng, _, both, sigma = self.case(cell, seed)
+        cert = extend_instance(inst, seed=seed)
+        # the same certificate with one copy moved to another color
+        coloring = [EdgeClass(cls.support, cls.amalgam, dict(cls.colors)) for cls in cert.coloring]
+        colors = rng.choice(coloring).colors
+        j = rng.choice(sorted(colors))
+        other = rng.choice([i for i in range(inst.params.k) if i != j])
+        colors[j] -= 1
+        colors[other] = colors.get(other, 0) + 1
+        if not colors[j]:
+            del colors[j]
+        broken = Certificate(params=inst.params, coloring=coloring)
+        moved_inst = Instance(params=inst.params, coloring=_relabel(inst.coloring, both, sigma))
+        verdicts = []
+        for c in (cert, broken):
+            before = verify_certificate(c, inst)
+            after = verify_certificate(
+                Certificate(params=c.params, coloring=_relabel(c.coloring, both, sigma)), moved_inst)
+            assert after.ok == before.ok
+            assert (Counter(f["kind"] for f in after.failures)
+                    == Counter(f["kind"] for f in before.failures))
+            verdicts.append(before.ok)
+        assert verdicts == [True, False]

@@ -10,17 +10,10 @@ from hyperfactor.combinatorics import binom
 from hyperfactor.generate import random_instance
 from hyperfactor.model import Certificate, EdgeClass, Instance, Parameters
 from hyperfactor.pipeline import extend_instance
-from hyperfactor.verify import (
-    _MAX_FAILURES,
-    EXHAUSTED,
-    TOO_LARGE,
-    VerifyReport,
-    _summed_colors,
-    brute_force_extend,
-    verify_certificate,
-)
+from hyperfactor.verify import _MAX_FAILURES, VerifyReport, _summed_colors, verify_certificate
 
 from conftest import make_instance
+from oracles import EXHAUSTED, TOO_LARGE, brute_force_extend
 
 
 def worked_certificate(inst) -> Certificate:
