@@ -69,7 +69,8 @@ class AmalgamState:
         Every class (X, i) holds exactly lambda * C(q, i) copies.
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
         the amalgam's degree, which must equal r_j * q. A finished map is
-        counted once, then compared at C speed with its sealed copy.
+        counted once, then compared at C speed with its sealed copy. At q = 0
+        no class keeps amalgam slots. The detach stage checks no sum itself.
         """
         p = self.params
         q = self.weight
@@ -101,6 +102,8 @@ class AmalgamState:
             if w != rj * q:
                 raise InternalInvariantViolation(
                     f"color {j}: live classes weigh {w}, expected {rj * q}")
+        if not q and live:
+            raise InternalInvariantViolation(f"class {min(live)} kept amalgam slots")
 
     def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)

@@ -212,6 +212,12 @@ def cmd_sweep(args) -> int:
         h_values, m_span, n_span, lam_values = map(parse_span, (args.h, args.m, args.n, args.lam))
     except ValueError as exc:
         raise BadArgument(f"sweep grid: {exc}") from None
+    for flag, text in (("--h", args.h), ("--m", args.m), ("--lam", args.lam)):
+        if "m" in text:   # the grid reads these spans once, at m = 0
+            raise BadArgument(f"sweep grid: {flag} span {text!r} uses m; only --n spans may")
+    for flag, value, least in (("--seeds", args.seeds, 0), ("--jobs", args.jobs, 1)):
+        if value < least:
+            raise BadArgument(f"{flag} must be at least {least}, got {value}")
     cells = [(h, m, n, lam, args.r, seed, args.force)
              for h in h_values(0)
              for m in m_span(0)

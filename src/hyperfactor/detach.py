@@ -67,8 +67,8 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     x[c][j] = caps[c][j] * i_c / q meets its row supply; its column sums
     are the classes' weight r_j * q divided by q. It also means every live
     class holds a copy, as the apply loop deletes a class it empties. Row
-    supplies are the Pascal-forced lambda * C(q-1, i-1); here only their
-    balance against sum_j r_j is checked. Rows read the maps as they stand.
+    supplies, the Pascal-forced lambda * C(q-1, i-1), total sum_j r_j by that
+    check, so only the call order is checked here; rows read maps as they stand.
     """
     p = state.params
     q = state.weight
@@ -80,10 +80,6 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     rows = sorted(state.live)
     supplies = [donation[key[1]] for key in rows]
-    total_supply, total_demand = sum(supplies), sum(p.r)
-    if total_supply != total_demand:
-        raise InternalInvariantViolation(f"supply {total_supply} != demand {total_demand}")
-
     held = [state.classes[key].colors for key in rows]
     return TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r),
                                  colors=list(map(list, held)),
@@ -235,7 +231,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     sums: a source must keep lambda * C(q-1, i) and its target, which has no
     other donor, hold lambda * C(q-1, i-1), so a wrong row sum breaks a class
     total; a moved copy lowers its color's live weight by one, so a wrong
-    column sum misses r_j * (q - 1).
+    column sum misses r_j * (q - 1). At weight 0 it also rejects a live class.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -275,13 +271,12 @@ def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
     Once the amalgam is gone every class is a level-0 ``EdgeClass``, the type
     certificates hold, so the certificate takes them as they are, sorted by
     key. ``build_amalgam`` copied the input classes, so none is the instance's.
+    The last step's ``state.check()`` rejects a class that kept amalgam slots.
     """
     while state.weight > 0:
         detach_step(state, hook=hook)
         if trace is not None:
             trace({"stage": "detach", "s": state.detached, "q": state.weight})
 
-    if state.live:
-        raise InternalInvariantViolation(f"class {min(state.live)} kept amalgam slots")
     coloring = list(map(state.classes.__getitem__, sorted(state.classes)))
     return Certificate(params=state.params, coloring=coloring, report=None)

@@ -147,8 +147,9 @@ def is_admissible(params: Parameters) -> bool:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check that the coloring covers exactly lambda K_m^h within degree caps.
 
-    Reports the first few violations: malformed classes, missing or extra
-    edge copies, and per-vertex per-color degrees above r_j.
+    Reports every malformed class; only when there is none, every missing or
+    extra edge copy and every per-vertex per-color degree above r_j.
+    ``InvalidInstance`` shows the first three issues.
     """
     p = inst.params
     issues: list[ValidationIssue] = []

@@ -51,27 +51,16 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
         fail("extension", "certificate and instance parameters differ")
         return VerifyReport(ok=False, failures=failures)
 
-    supports = [cls.support for cls in cert.coloring]
-    maps = [cls.colors for cls in cert.coloring]
-    is_vertex, is_color = range(1, p.n + 1).__contains__, range(p.k).__contains__
-    well_formed = (   # the per-class test below, over all classes at once
-        all(map(eq, [cls.amalgam for cls in cert.coloring], repeat(0)))
-        and all(len(support) == p.h for support in supports)
-        and frozenset(range(1, p.n + 1)).issuperset(chain.from_iterable(supports))
-        and all(all(map(lt, map(itemgetter(i), supports), map(itemgetter(i + 1), supports)))
-                for i in range(p.h - 1))
-        and frozenset(range(p.k)).issuperset(chain.from_iterable(maps))
-        and min(chain.from_iterable(map(dict.values, maps)), default=1) >= 1)
+    shape = (p.h, frozenset(range(1, p.n + 1)), frozenset(range(p.k)))
+    fine = (repeat(True) if _well_formed(cert.coloring, *shape)   # else name the bad classes
+            else [_well_formed((cls,), *shape) for cls in cert.coloring])
 
     totals: dict[tuple[int, ...], int] = {}
     inside: list[EdgeClass] = []   # the well-formed classes with supports in [1, m]
     degrees = {v: [0] * p.k for v in range(1, p.n + 1)}
-    for cls in cert.coloring:
+    for cls, ok in zip(cert.coloring, fine):
         support, colors = cls.support, cls.colors
-        if not well_formed and (
-                cls.amalgam != 0 or len(support) != p.h
-                or not all(map(is_vertex, support)) or not all(map(lt, support, support[1:]))
-                or not all(map(is_color, colors)) or min(colors.values(), default=1) < 1):
+        if not ok:
             fail("completeness", f"malformed class {support} (amalgam={cls.amalgam})")
             continue
         totals[support] = totals.get(support, 0) + sum(colors.values())
@@ -106,6 +95,18 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
                          f"vertex {v} has degree {d} in color {j + 1}, expected {r[j]}")
 
     return VerifyReport(ok=not failures, failures=failures)
+
+
+def _well_formed(classes, h: int, vertices: frozenset, colors: frozenset) -> bool:
+    """Whether each class has amalgam 0, h ascending ``vertices`` and ``colors`` counts >= 1."""
+    supports, maps = [cls.support for cls in classes], [cls.colors for cls in classes]
+    return (all(map(eq, [cls.amalgam for cls in classes], repeat(0)))
+            and all(len(support) == h for support in supports)
+            and vertices.issuperset(chain.from_iterable(supports))
+            and all(all(map(lt, map(itemgetter(i), supports), map(itemgetter(i + 1), supports)))
+                    for i in range(h - 1))
+            and colors.issuperset(chain.from_iterable(maps))
+            and min(chain.from_iterable(map(dict.values, maps)), default=1) >= 1)
 
 
 def _summed_colors(coloring) -> dict[tuple[int, ...], dict[int, int]]:

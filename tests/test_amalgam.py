@@ -298,6 +298,12 @@ class TestAssignLevelH:
                            match=r"^color 2: live classes weigh 3, expected 2"):
             assign_level_h(state, table)
 
+    def test_rejected_before_all_greedy_levels(self, worked_instance):
+        state = build_amalgam(worked_instance)   # level 1 not colored yet
+        with pytest.raises(InternalInvariantViolation,
+                           match="^assign_level_h before all greedy levels$"):
+            assign_level_h(state, [1, 0, 0])
+
     def test_quota_total_is_new_only_edge_count(self):
         # The input edge's color has forced level counts (1, 0, 0) since
         # 3*t0 + 2*t1 + t2 = r_j*m = 3, so its top quota is exactly 2;

@@ -64,6 +64,12 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
 
+    def test_exit_4_on_a_document_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        assert run_cli(["extend", str(path)]) == 4
+        assert capsys.readouterr().err.splitlines() == ["error: $: top level must be an object"]
+
     def test_exit_2_on_inadmissible(self, tmp_path):
         doc = json.loads(WORKED_DOC)
         doc["r"] = [1, 1]   # degree sum 2 != C(3,1) = 3
@@ -136,6 +142,22 @@ class TestExitCodes:
 
         monkeypatch.setattr(detach, "solve_transportation", broken)
         assert run_cli(["extend", worked_path]) == 6
+
+    def test_exit_6_when_the_certificate_fails_verification(self, worked_path, tmp_path,
+                                                            monkeypatch, capsys):
+        real = cli.verify_certificate
+
+        def failing(cert, inst):
+            report = real(cert, inst)
+            report.ok = False
+            return report
+
+        monkeypatch.setattr(cli, "verify_certificate", failing)
+        out = tmp_path / "cert.json"
+        assert run_cli(["extend", worked_path, "-o", str(out)]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: produced certificate failed verification"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, broken", [
         ("greedy_color_level", _stuck_greedy),
@@ -330,6 +352,15 @@ class TestGen:
     def test_gen_inadmissible_exits_2(self):
         assert run_cli(["gen", "--n", "7", "--m", "3", "--h", "3", "--r", "ones"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "5", "--m", "2", "--h", "2", "--r", "1,x"], "cannot parse r pattern '1,x'"),
+        (["--n", "3", "--m", "3", "--h", "2"], "need 2 <= h <= m < n, got h=2 m=3 n=3"),
+    ], ids=["r_pattern", "parameters"])
+    def test_bad_values_exit_2(self, argv, message, capsys):
+        assert run_cli(["gen"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
     def test_gen_output_extends(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         cert_path = tmp_path / "cert.json"
@@ -394,9 +425,34 @@ class TestSweep:
         assert out.strip() == ",".join(cli.CSV_COLUMNS)
 
     def test_bad_span_exits_2(self, capsys):
-        assert run_cli(["sweep", "--h", "x", "--m", "2", "--n", "5"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: sweep grid: cannot parse span endpoint 'x'"]
+        # Only --n may depend on m: the grid reads --h, --m and --lam at m = 0.
+        for argv, message in [
+                (["--h", "x", "--m", "2", "--n", "5"], "cannot parse span endpoint 'x'"),
+                (["--h", "2", "--m", "2", "--n", "1..2..3"], "cannot parse span '1..2..3'"),
+                (["--h", "2", "--m", "2m+3", "--n", "2m+1"],
+                 "--m span '2m+3' uses m; only --n spans may"),
+                (["--h", "m+2", "--m", "2", "--n", "5"],
+                 "--h span 'm+2' uses m; only --n spans may"),
+                (["--h", "5..2m", "--m", "3", "--n", "8"],   # empty at m = 0 and at m = 1
+                 "--h span '5..2m' uses m; only --n spans may"),
+                (["--h", "2", "--m", "2", "--n", "5", "--lam", "1..m"],
+                 "--lam span '1..m' uses m; only --n spans may")]:
+            assert run_cli(["sweep"] + argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines() == [
+                f"error: sweep grid: {message}"], argv
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--seeds", "-1", 0), ("--jobs", "0", 1), ("--jobs", "-4", 1)])
+    def test_count_below_its_minimum_exits_2(self, flag, value, least, capsys):
+        assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"error: {flag} must be at least {least}, got {value}"]
+
+    def test_zero_seeds_is_an_empty_sweep(self, capsys):
+        assert run_cli(["sweep", "--h", "2", "--m", "2", "--n", "4", "--seeds", "0"]) == 0
+        assert capsys.readouterr().out.strip() == ",".join(cli.CSV_COLUMNS)
 
     def test_forced_below_bound_outcomes(self, tmp_path, capsys):
         assert run_cli(["sweep", "--h", "2", "--m", "4", "--n", "6", "--seeds", "1",

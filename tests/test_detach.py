@@ -207,8 +207,9 @@ class TestBuildTransportation:
         state = ready_state(worked_instance)
         key = min(state.live)   # ((), 2) donates lambda * C(1, 1) = 1 copy
         del state.classes[key], state.live[key]
-        with pytest.raises(InternalInvariantViolation, match="^supply 2 != demand 3$"):
-            build_transportation(state)
+        with pytest.raises(InternalInvariantViolation,
+                           match="^color 1: live classes weigh 0, expected 1$"):
+            detach_step(state)
 
 
 class TestSolveTransportation:

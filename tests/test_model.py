@@ -116,6 +116,19 @@ class TestValidateInstance:
         assert [issue.kind for issue in report.issues] == ["malformed_class"]
         assert report.issues[0].detail == f"class 0: {problem}"
 
+    @pytest.mark.parametrize("support, problem", [
+        ((2, 1), "support must be strictly increasing"),
+        ((1,), "support size 1 != h=2"),
+        ((1, 3), "support not within [1, 2]"),
+    ])
+    def test_support_breaking_the_invariant_is_malformed(self, support, problem):
+        # A class's support is h vertices of [1, m], strictly increasing.
+        inst = make_instance(4, 2, 2, 1, (1, 1, 1), {})
+        inst.coloring = [EdgeClass(support=support, amalgam=0, colors={0: 1})]
+        report = validate_instance(inst)
+        assert [issue.kind for issue in report.issues] == ["malformed_class"]
+        assert report.issues[0].detail == f"class 0: {problem}"
+
 
 WORKED_DOC = ('{"n":4,"m":2,"h":2,"lambda":1,"r":[1,1,1],'
               '"edges":[{"support":[1,2],"alpha":0,"colors":{"1":1}}]}\n')
