@@ -35,12 +35,12 @@ class AmalgamState:
     too, each with its sparse ``{color: count}`` map; it is the one map of
     every class. ``live`` indexes the keys of the classes with amalgam slots,
     in creation order, and ``finished`` the level-0 classes' maps; ``get_class``
-    and the detach step's delete keep both in step with ``classes``. A
-    finished map is written only in the stage that creates it and ``check``
-    ends (no later step donates to an earlier new vertex's class), so it must
-    equal the copy ``sealed`` took, interned by content in ``seals``. A live
-    class's map lists its colors ascending: the levels fill it in order, a
-    detach target in its one source's order.
+    and the detach step's delete keep both in step with ``classes``. Write-once
+    rule: a class gains its colors from one writer (the input, the greedy once
+    per level class, the quotas, or a detach target's one donor), and later
+    steps only take copies from live maps. So a finished map must equal the
+    copy ``sealed`` took when ``check`` ended its stage, interned by content in
+    ``seals``. A live map lists its colors ascending, as its writer filled it.
     ``degrees`` maps each original vertex 1..m to its dense per-color
     degrees; only the greedy levels and ``finish_levels`` read it.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
@@ -156,7 +156,8 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
     left), where the residual is min_x (r_j - deg_j(x)) over the support.
     Degrees only grow while the class is colored, so a color with no
     residual never regains one, and a single pass matches the copy-by-copy
-    greedy with the same preference order. Copies left raise GreedyStuck.
+    greedy with the same preference order; each color is written once into
+    the empty map (``AmalgamState``'s write-once rule). Copies left raise GreedyStuck.
     """
     r = state.params.r
     rows = [state.degrees[v] for v in cls.support]
@@ -168,7 +169,7 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
         if residual <= 0:
             continue
         take = min(residual, copies)
-        colors[j] = colors.get(j, 0) + take
+        colors[j] = take
         copies -= take
         for row in rows:
             row[j] += take

@@ -93,9 +93,9 @@ def parse_span(text: str):
     raise ValueError(f"cannot parse span {text!r}")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write ``text`` to stdout or to ``path``; an unwritable path is a bad argument."""
-    if path is None or path == "-":
+def _write_output(text: str, path: str) -> None:
+    """Write ``text`` to stdout (``-``) or to ``path``; an unwritable path is a bad argument."""
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -141,7 +141,8 @@ def _run_extension(inst: Instance, args) -> int:
     report = verify_certificate(cert, inst)
     cert.report = report.to_json()
     if not report.ok:
-        raise InternalInvariantViolation("produced certificate failed verification")
+        raise InternalInvariantViolation("produced certificate failed verification" + "".join(
+            f": {f['kind']}: {f['detail']}" for f in report.failures[:1]))
     _write_output(serialize_certificate(cert), args.output)
     return 0
 

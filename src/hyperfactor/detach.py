@@ -223,15 +223,16 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
 
     The new vertex takes id m + detached + 1. For every row c = (X, i) and
     cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
-    copies of the same color. One walk applies the plan and checks what no
-    total shows: a row's length, and each cell's 0 <= move <= cap before it
-    is written, visiting only nonzero moves: a zero one passes and writes
-    nothing. A failed check leaves the state partly applied; discard it.
-    The hook sees the plan before the walk. ``state.check()`` then checks the
-    sums: a source must keep lambda * C(q-1, i) and its target, which has no
-    other donor, hold lambda * C(q-1, i-1), so a wrong row sum breaks a class
-    total; a moved copy lowers its color's live weight by one, so a wrong
-    column sum misses r_j * (q - 1). At weight 0 it also rejects a live class.
+    copies of the same color. One walk applies the plan; each row is its
+    target's one donor (``AmalgamState``'s write-once rule). The walk checks
+    what no total shows: a row's length, and each cell's 0 <= move <= cap
+    before it is written, visiting only nonzero moves: a zero one passes and
+    writes nothing. A failed check leaves the state partly applied; discard
+    it. The hook sees the plan before the walk. ``state.check()`` then checks
+    the sums: a source must keep lambda * C(q-1, i) and its target hold
+    lambda * C(q-1, i-1), so a wrong row sum breaks a class total; a moved
+    copy lowers its color's live weight by one, so a wrong column sum misses
+    r_j * (q - 1). At weight 0 it also rejects a live class.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -244,19 +245,18 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
             raise InternalInvariantViolation(
                 f"row {key} has {len(moves)} moves for {len(caps)} cells")
         colors = state.classes[key].colors
-        target: dict[int, int] | None = None
+        # the new vertex outnumbers every vertex of the support: no other row shares this target
+        target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
         for j, cap, moved in compress(zip(row_colors, caps, moves), moves):
             if not 0 <= moved <= cap:
                 raise InternalInvariantViolation(
                     f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
-            if target is None:   # the new vertex outnumbers every vertex of the support
-                target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
             left = colors[j] - moved
             if left:
                 colors[j] = left
             else:
                 del colors[j]   # the state keeps no zero counts
-            target[j] = target.get(j, 0) + moved
+            target[j] = moved
         if not colors:
             del state.classes[key], state.live[key]
 

@@ -81,8 +81,6 @@ class NegativeTopLevelQuota(HyperfactorError):
 
     def __init__(self, color: int, value: int):
         super().__init__(f"color {color} needs {value} all-new edges")
-        self.color = color
-        self.value = value
 
 
 class InfeasibleTransport(HyperfactorError):

@@ -174,17 +174,15 @@ def validate_instance(inst: Instance) -> ValidationReport:
             continue
         totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors.values())
 
-    if not issues:
+    if not issues:   # each well-formed support is an h-subset of [1, m], so the walk meets it
         for subset in combinations(range(1, p.m + 1), p.h):
-            got = totals.pop(subset, 0)
+            got = totals.get(subset, 0)
             if got < p.lam:
                 issues.append(ValidationIssue(
                     "missing_edges", f"{set(subset)} has {got} copies, expected {p.lam}"))
             elif got > p.lam:
                 issues.append(ValidationIssue(
                     "extra_edges", f"{set(subset)} has {got} copies, expected {p.lam}"))
-        for subset in totals:
-            issues.append(ValidationIssue("extra_edges", f"unexpected support {set(subset)}"))
 
         degrees = {v: [0] * p.k for v in range(1, p.m + 1)}   # every support is in [1, m]
         for cls in inst.coloring:
@@ -225,19 +223,19 @@ def _require_int(value, location: str) -> int:
     return value
 
 
-def _parse_params(doc: dict, location: str = "$") -> Parameters:
-    n = _require_int(doc["n"], f"{location}.n")
-    m = _require_int(doc["m"], f"{location}.m")
-    h = _require_int(doc["h"], f"{location}.h")
-    lam = _require_int(doc["lambda"], f"{location}.lambda")
+def _parse_params(doc: dict) -> Parameters:
+    n = _require_int(doc["n"], "$.n")
+    m = _require_int(doc["m"], "$.m")
+    h = _require_int(doc["h"], "$.h")
+    lam = _require_int(doc["lambda"], "$.lambda")
     r_raw = doc["r"]
     if not isinstance(r_raw, list):
-        raise SchemaError("expected a list", f"{location}.r")
-    r = tuple(_require_int(x, f"{location}.r[{i}]") for i, x in enumerate(r_raw))
+        raise SchemaError("expected a list", "$.r")
+    r = tuple(_require_int(x, f"$.r[{i}]") for i, x in enumerate(r_raw))
     try:
         return Parameters(n=n, m=m, h=h, lam=lam, r=r)
     except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+        raise SchemaError(str(exc)) from exc
 
 
 class _BadField(Exception):

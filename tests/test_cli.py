@@ -7,11 +7,14 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import hyperfactor
 from hyperfactor import cli, detach, errors, generate, pipeline
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import HyperfactorError, InfeasibleTransport
@@ -104,7 +107,8 @@ class TestExitCodes:
                 assert len(err) == 1 and err[0].startswith("error:")
 
     @pytest.mark.parametrize("argv", [["extend", "WORKED"],
-                                      ["gen", "--n", "4", "--m", "2", "--h", "2", "--r", "ones"]])
+                                      ["gen", "--n", "4", "--m", "2", "--h", "2", "--r", "ones"],
+                                      ["sweep", "--h", "2", "--m", "2", "--n", "4"]])
     def test_exit_2_on_unwritable_output(self, argv, worked_path, tmp_path, capsys):
         argv = [worked_path if arg == "WORKED" else arg for arg in argv]
         out = tmp_path / "missing" / "out.json"
@@ -158,6 +162,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: produced certificate failed verification"]
         assert not out.exists()
+
+    def test_exit_6_names_the_first_verification_failure(self, worked_path, tmp_path,
+                                                         monkeypatch, capsys):
+        real = cli.extend_instance
+
+        def recolored(inst, **kwargs):
+            cert = real(inst, **kwargs)
+            moved = next(cls for cls in cert.coloring if cls.support == (2, 3))
+            assert moved.colors == {2: 1}
+            moved.colors = {1: 1}   # color 3 -> color 2: vertices 2 and 3 leave regularity
+            return cert
+
+        monkeypatch.setattr(cli, "extend_instance", recolored)
+        out = tmp_path / "cert.json"
+        assert run_cli(["extend", worked_path, "-o", str(out)]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: produced certificate failed verification: "
+            "regularity: vertex 2 has degree 2 in color 2, expected 1"]
+        assert not out.exists()
+
+    def test_module_entry_point_exits_with_the_error_code(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        package_parent = os.path.dirname(os.path.dirname(hyperfactor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "hyperfactor.cli", "extend", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == ["error: $: top level must be an object"]
 
     @pytest.mark.parametrize("name, broken", [
         ("greedy_color_level", _stuck_greedy),

@@ -1,6 +1,8 @@
 """Unit tests for the seeded instance generator."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,11 @@ class TestRandomInstance:
         monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)
         inst = random_instance(Parameters(n=8, m=7, h=2, lam=1, r=(1,) * 7), seed=0)
         assert validate_instance(inst).ok
+
+    def test_exhausted_search_returns_none(self):
+        # K_3 cannot hold its three pairwise-meeting copies in one color of cap 1.
+        params = Parameters(n=4, m=3, h=2, lam=1, r=(1,))
+        assert generate._backtrack_coloring(params, random.Random(0)) is None
 
     def test_spent_node_budget_raises(self, monkeypatch):
         monkeypatch.setattr(generate, "_MAX_RESTARTS", 0)

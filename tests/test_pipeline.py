@@ -177,6 +177,10 @@ class TestSingleEdgeInstance:
         with pytest.raises(ValueError):
             single_edge_instance(Parameters(n=6, m=3, h=2, lam=1, r=(1,) * 5))
 
+    def test_caps_too_small_for_the_seed_copies(self):
+        with pytest.raises(ValueError, match="^degree caps cannot absorb the seed edge copies$"):
+            single_edge_instance(Parameters(n=5, m=2, h=2, lam=3, r=(1,)))
+
 
 def _ones(n, m, h, lam):
     return Parameters(n=n, m=m, h=h, lam=lam, r=(1,) * (lam * binom(n - 1, h - 1)))
