@@ -70,7 +70,14 @@ class AmalgamState:
         For each color j, the live classes (i >= 1) weigh sum i * count_j,
         the amalgam's degree, which must equal r_j * q. A finished map is
         counted once, then compared at C speed with its sealed copy. At q = 0
-        no class keeps amalgam slots. The detach stage checks no sum itself.
+        no class keeps amalgam slots.
+
+        This is the detach stage's only check of its plan's sums, read at
+        the weight q the step leaves. A source row keeps lambda * C(q, i)
+        exactly when it sums to its supply, and its target, which has no
+        other donor, then holds lambda * C(q, i - 1); so a wrong row sum
+        breaks a class total. Each moved copy lowers its color's live weight
+        by one, so a wrong column sum misses r_j * q.
         """
         p = self.params
         q = self.weight
@@ -156,23 +163,25 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
     left), where the residual is min_x (r_j - deg_j(x)) over the support.
     Degrees only grow while the class is colored, so a color with no
     residual never regains one, and a single pass matches the copy-by-copy
-    greedy with the same preference order; each color is written once into
-    the empty map (``AmalgamState``'s write-once rule). Copies left raise GreedyStuck.
+    greedy with the same preference order. The takes fill the empty map
+    once, ascending (``AmalgamState``'s write-once rule), before copies left
+    raise GreedyStuck.
     """
     r = state.params.r
     rows = [state.degrees[v] for v in cls.support]
-    colors = cls.colors
+    taken = []
     for j in order:
         if not copies:
-            return
+            break
         residual = r[j] - max(row[j] for row in rows)
         if residual <= 0:
             continue
         take = min(residual, copies)
-        colors[j] = take
+        taken.append((j, take))
         copies -= take
         for row in rows:
             row[j] += take
+    cls.colors.update(sorted(taken))
     if copies:
         raise GreedyStuck(cls.support, cls.amalgam)
 
@@ -182,8 +191,8 @@ def greedy_color_level(state: AmalgamState, level: int,
     """Color every level-``level`` class, keeping all degrees within caps.
 
     Classes are processed in lexicographic support order with lowest-color
-    preference; ``rng`` optionally shuffles both for robustness testing (each
-    class's map is then sorted once). Levels go in ascending order from 1.
+    preference; ``rng`` optionally shuffles both for robustness testing.
+    Levels go in ascending order from 1.
     """
     p = state.params
     if not (1 <= level <= p.h - 1):
@@ -196,16 +205,11 @@ def greedy_color_level(state: AmalgamState, level: int,
     pending = sorted(key for key in state.classes if key[1] == level)
     if rng is not None:
         rng.shuffle(pending)
-    base_order = list(range(p.k))
     for key in pending:
-        cls = state.classes[key]
-        if rng is None:
-            _color_class(state, cls, copies, base_order)
-        else:
-            order = base_order[:]
+        order = list(range(p.k))
+        if rng is not None:
             rng.shuffle(order)
-            _color_class(state, cls, copies, order)
-            cls.colors = dict(sorted(cls.colors.items()))
+        _color_class(state, state.classes[key], copies, order)
 
     state.level_done = level
     return state
@@ -215,25 +219,22 @@ def finish_levels(state: AmalgamState) -> list[int]:
     """Check exact saturation after the last greedy level; return the top quotas.
 
     Once levels 1..h-1 are colored, every original vertex's degree row must
-    equal r (its total capacity equals its total edge count); each row is
-    compared whole, and only a differing one is walked to name its first bad
-    color. Color j of an r_j-factor of lambda K_n^h has r_j * n / h copies
-    (an integer by admissibility, which ``build_amalgam`` checked), so its
-    level-h quota is that minus the copies of color j the classes already
-    hold. A quota may be negative; ``assign_level_h`` rejects it.
+    equal r (its total capacity equals its total edge count). Color j of an
+    r_j-factor of lambda K_n^h has r_j * n / h copies (an integer by
+    admissibility, which ``build_amalgam`` checked), so its level-h quota is
+    that minus the copies of color j the classes already hold. A quota may be
+    negative; ``assign_level_h`` rejects it.
     """
     p = state.params
     if state.level_done != p.h - 1:
         raise InternalInvariantViolation(
             f"finish_levels called with level_done={state.level_done}, expected {p.h - 1}")
 
-    r = list(p.r)
     for v, row in state.degrees.items():
-        if row != r:
-            for j, d in enumerate(row):
-                if d != r[j]:
-                    raise InternalInvariantViolation(
-                        f"vertex {v} has degree {d} in color {j + 1}, expected {r[j]}")
+        for j, (d, rj) in enumerate(zip(row, p.r), start=1):
+            if d != rj:
+                raise InternalInvariantViolation(
+                    f"vertex {v} has degree {d} in color {j}, expected {rj}")
 
     placed = [0] * p.k
     for cls in state.classes.values():

@@ -66,15 +66,17 @@ def build_r_vector(pattern: str, n: int, h: int, lam: int) -> tuple[int, ...]:
 
 
 def _parse_linear(text: str) -> tuple[int, int]:
-    """Parse 'c', 'am', or 'am+c' / 'am-c' into (a, c) meaning a*m + c."""
-    match = re.fullmatch(r"\s*(?:(\d*)m)?\s*([+-]?\s*\d+)?\s*", text)
-    if not match or (match.group(1) is None and match.group(2) is None):
+    """Parse 'c', 'am', or 'am+c' / 'am-c' into (a, c) meaning a*m + c.
+
+    A constant after an m term needs its sign: '2m3' and 'm 5' do not parse.
+    """
+    match = re.fullmatch(r"\s*(?:(\d*)m\s*([+-]\s*\d+)?|([+-]?\s*\d+))\s*", text)
+    if not match:
         raise ValueError(f"cannot parse span endpoint {text!r}")
-    a = 0
-    if match.group(1) is not None:
-        a = int(match.group(1)) if match.group(1) else 1
-    c = int(match.group(2).replace(" ", "")) if match.group(2) else 0
-    return a, c
+    a, offset, const = match.groups()
+    if const is not None:
+        return 0, int(const.replace(" ", ""))
+    return int(a or 1), int(offset.replace(" ", "")) if offset else 0
 
 
 def parse_span(text: str):

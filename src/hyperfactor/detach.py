@@ -6,16 +6,21 @@ lambda * C(q-1, i-1) of them to the new vertex, keeping lambda * C(q-1, i)
 (a Pascal split), and the new vertex must end at degree r_j in every color.
 The only freedom is how each class's donation distributes over colors:
 an integral transportation problem with row supplies, column demands and
-cell capacities. The fractional point x[c][j] = cap[c][j] * i_c / q always
-satisfies it exactly, so an integral solution exists. Dinic's max-flow finds
-it, run on the rows and colors themselves rather than on an arc graph: its
-first phase is a greedy pass over the rows, and later phases reroute flow
-through the rows that already send a color copies. The problem is read
-straight off the live rows (classes with amalgam slots): each row is its
-class's ascending colors and nonzero counts, two parallel lists, so a step
-touches no cell a class does not hold. One walk applies the plan, checking
-row lengths and cell caps; ``AmalgamState.check`` then recounts the sums and
-covers the next step's witness.
+cell capacities.
+
+Feasibility is the fractional point x[c][j] = cap[c][j] * i_c / q. A state
+that passed ``AmalgamState.check`` has every class (X, i) holding
+lambda * C(q, i) copies, and q * lambda * C(q-1, i-1) = i * lambda * C(q, i),
+so row c of the point sums to its supply; column j sums to the live classes'
+weight r_j * q divided by q, which is r_j. So the supplies total sum_j r_j,
+a flow saturates them, and with integral capacities an integral one does too.
+
+Dinic's max-flow finds the plan, run on the rows and colors themselves
+rather than on an arc graph: its first phase is a greedy pass over the rows,
+and later phases reroute flow through the rows that already send a color
+copies. The problem is read straight off the live rows (classes with amalgam
+slots): each row is its class's ascending colors and nonzero counts, two
+parallel lists, so a step touches no cell a class does not hold.
 """
 from __future__ import annotations
 
@@ -61,14 +66,9 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     """Set up the donation problem for the next new vertex.
 
     Requires a state that passed ``AmalgamState.check`` (``assign_level_h``
-    and each ``detach_step`` end with it). That check is the feasibility
-    witness: each class (X, i) holds lambda * C(q, i) copies, and
-    q * lambda * C(q-1, i-1) = i * lambda * C(q, i), so the point
-    x[c][j] = caps[c][j] * i_c / q meets its row supply; its column sums
-    are the classes' weight r_j * q divided by q. It also means every live
-    class holds a copy, as the apply loop deletes a class it empties. Row
-    supplies, the Pascal-forced lambda * C(q-1, i-1), total sum_j r_j by that
-    check, so only the call order is checked here; rows read maps as they stand.
+    and each ``detach_step`` end with it), the witness of the module
+    docstring, so only the call order is checked here; rows read maps as
+    they stand.
     """
     p = state.params
     q = state.weight
@@ -95,8 +95,10 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
     flow: its residual arcs back to rows. A row resumes its scan where it
     stopped: a cell that leads a level up only gains flow in the phase, so
     the scan passes over just what a per-node arc list would have popped.
-    A BFS level stops once every color is labelled; a sink-level color with
-    no demand left is a dead end (no row sits past the sink), so it is unlabelled.
+    A level's scan stops once every color is labelled. The BFS stops at the
+    first color level that holds demand and unlabels that level's colors with
+    none: no row sits past the sink. So a labelled color has demand only at
+    the sink's level; it pushes to the sink, any other reroutes through its holders.
     """
     colors, caps, num_rows = tp.colors, tp.caps, len(row_left)
     level = [1 if left else -1 for left in row_left] + [-1] * len(col_left)
@@ -146,20 +148,7 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
                     u = num_rows + colors[path[-1][0]][path.pop()[1]] if path else u
                 continue
             j = u - num_rows
-            arcs = untried[j]
-            if arcs is None:   # by row, then the sink (None) while demand is left
-                arcs = untried[j] = [None] * bool(col_left[j]) + sorted(
-                    (cell for cell in holders[j] if level[cell[0]] == level[u] + 1), reverse=True)
-            while arcs and not (col_left[j] if arcs[-1] is None
-                                else moves[arcs[-1][0]][arcs[-1][1]] and level[arcs[-1][0]] >= 0):
-                arcs.pop()
-            if not arcs:
-                level[u] = -1
-                u = path.pop()[0]
-            elif arcs[-1] is not None:
-                path.append(arcs[-1])
-                u = arcs[-1][0]
-            else:
+            if col_left[j]:   # only a sink-level color has demand left
                 pushed = min(row_left[first], col_left[j],
                              *[caps[r][t] - moves[r][t] for r, t in path[0::2]],
                              *[moves[r][t] for r, t in path[1::2]])
@@ -174,6 +163,19 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
                         holders[colors[r][t]].remove((r, t))
                 path.clear()
                 u = first
+                continue
+            arcs = untried[j]
+            if arcs is None:   # the rows sending j flow, by row
+                arcs = untried[j] = sorted(
+                    (cell for cell in holders[j] if level[cell[0]] == level[u] + 1), reverse=True)
+            while arcs and not (moves[arcs[-1][0]][arcs[-1][1]] and level[arcs[-1][0]] >= 0):
+                arcs.pop()
+            if arcs:
+                path.append(arcs[-1])
+                u = arcs[-1][0]
+            else:
+                level[u] = -1
+                u = path.pop()[0]
     return True
 
 
@@ -187,7 +189,7 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     taking the first open arc each time, fills each row's cells in order:
     that greedy is the phase. A later phase labels the same levels and tries
     the same arcs in the same order (at a row its colors ascending, at a color
-    the rows sending it flow by row, then the sink), so every push is the
+    the sink or else the rows sending it flow, by row), so every push is the
     generic Dinic's. InfeasibleTransport names the first row left short, and so
     does the InternalInvariantViolation of a later phase that pushes no unit.
     """
@@ -223,16 +225,12 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
 
     The new vertex takes id m + detached + 1. For every row c = (X, i) and
     cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
-    copies of the same color. One walk applies the plan; each row is its
-    target's one donor (``AmalgamState``'s write-once rule). The walk checks
-    what no total shows: a row's length, and each cell's 0 <= move <= cap
-    before it is written, visiting only nonzero moves: a zero one passes and
-    writes nothing. A failed check leaves the state partly applied; discard
-    it. The hook sees the plan before the walk. ``state.check()`` then checks
-    the sums: a source must keep lambda * C(q-1, i) and its target hold
-    lambda * C(q-1, i-1), so a wrong row sum breaks a class total; a moved
-    copy lowers its color's live weight by one, so a wrong column sum misses
-    r_j * (q - 1). At weight 0 it also rejects a live class.
+    copies of the same color. One walk applies the plan, each row writing its
+    own target (``AmalgamState``'s write-once rule). The walk checks a row's
+    length and each cell's 0 <= move <= cap before it is written, visiting
+    only nonzero moves: a zero one passes and writes nothing. A failed check
+    leaves the state partly applied; discard it. The hook sees the plan before
+    the walk. ``state.check()`` then checks the sums, as its docstring says.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -271,7 +269,6 @@ def detach_all(state: AmalgamState, trace=None, hook=None) -> Certificate:
     Once the amalgam is gone every class is a level-0 ``EdgeClass``, the type
     certificates hold, so the certificate takes them as they are, sorted by
     key. ``build_amalgam`` copied the input classes, so none is the instance's.
-    The last step's ``state.check()`` rejects a class that kept amalgam slots.
     """
     while state.weight > 0:
         detach_step(state, hook=hook)

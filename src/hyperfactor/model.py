@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import gt
 
 from .combinatorics import binom
 from .errors import SchemaError, TooLarge
@@ -155,6 +154,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     issues: list[ValidationIssue] = []
 
     totals: dict[tuple[int, ...], int] = {}
+    degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
     for idx, cls in enumerate(inst.coloring):
         problems = []
         if cls.amalgam != 0:
@@ -173,6 +173,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
             issues.append(ValidationIssue("malformed_class", f"class {idx}: " + "; ".join(problems)))
             continue
         totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors.values())
+        for v in cls.support:
+            for j, cnt in cls.colors.items():
+                degrees[v][j] += cnt
 
     if not issues:   # each well-formed support is an h-subset of [1, m], so the walk meets it
         for subset in combinations(range(1, p.m + 1), p.h):
@@ -183,19 +186,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
             elif got > p.lam:
                 issues.append(ValidationIssue(
                     "extra_edges", f"{set(subset)} has {got} copies, expected {p.lam}"))
-
-        degrees = {v: [0] * p.k for v in range(1, p.m + 1)}   # every support is in [1, m]
-        for cls in inst.coloring:
-            for v in cls.support:
-                for j, cnt in cls.colors.items():
-                    degrees[v][j] += cnt
         for v, row in degrees.items():
-            if any(map(gt, row, p.r)):
-                for j, d in enumerate(row, start=1):
-                    if d > p.r[j - 1]:
-                        issues.append(ValidationIssue(
-                            "degree_cap_exceeded",
-                            f"vertex {v} has degree {d} in color {j}, cap {p.r[j - 1]}"))
+            for j, (d, rj) in enumerate(zip(row, p.r), start=1):
+                if d > rj:
+                    issues.append(ValidationIssue(
+                        "degree_cap_exceeded", f"vertex {v} has degree {d} in color {j}, cap {rj}"))
 
     return ValidationReport(ok=not issues, issues=issues)
 

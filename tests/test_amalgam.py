@@ -165,6 +165,14 @@ class TestGreedyColorLevel:
         with pytest.raises(ValueError):
             greedy_color_level(state, 3)   # level h is not a greedy level
 
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_levels_outside_1_to_h_minus_1_rejected(self, level):
+        state = build_amalgam(random_instance(Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28), seed=0))
+        with pytest.raises(ValueError, match=f"greedy levels are 1..2, got {level}"):
+            greedy_color_level(state, level)
+        assert state.level_done == 0
+        assert all(not cls.colors for key, cls in state.classes.items() if key[1])
+
 
 def copy_by_copy_greedy(r, degrees, support, copies, order):
     """Reference: each copy takes the first color in ``order`` with room at every

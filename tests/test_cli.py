@@ -463,6 +463,7 @@ class TestSweep:
         for argv, message in [
                 (["--h", "x", "--m", "2", "--n", "5"], "cannot parse span endpoint 'x'"),
                 (["--h", "2", "--m", "2", "--n", "1..2..3"], "cannot parse span '1..2..3'"),
+                (["--h", "2", "--m", "2", "--n", "2m3"], "cannot parse span endpoint '2m3'"),
                 (["--h", "2", "--m", "2m+3", "--n", "2m+1"],
                  "--m span '2m+3' uses m; only --n spans may"),
                 (["--h", "m+2", "--m", "2", "--n", "5"],
