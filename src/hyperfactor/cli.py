@@ -143,8 +143,9 @@ def _run_extension(inst: Instance, args) -> int:
     report = verify_certificate(cert, inst)
     cert.report = report.to_json()
     if not report.ok:
-        raise InternalInvariantViolation("produced certificate failed verification" + "".join(
-            f": {f['kind']}: {f['detail']}" for f in report.failures[:1]))
+        first = report.failures[0]
+        raise InternalInvariantViolation(
+            f"produced certificate failed verification: {first['kind']}: {first['detail']}")
     _write_output(serialize_certificate(cert), args.output)
     return 0
 

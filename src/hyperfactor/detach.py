@@ -216,7 +216,7 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
         if stalled:
             raise InternalInvariantViolation(f"a flow phase pushed nothing; {where}")
         want = sum(tp.supplies)
-        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; {where}", tp)
+        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; {where}")
     return DetachPlan(moves=moves)
 
 

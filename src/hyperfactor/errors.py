@@ -46,13 +46,12 @@ class BelowBound(HyperfactorError):
 
 
 class InvalidInstance(HyperfactorError):
-    """An input coloring failed validation; the report explains why."""
+    """An input coloring failed validation; the message names the report's first three failures."""
     exit_code = 4
 
     def __init__(self, report):
-        issues = "; ".join(f"{i.kind}: {i.detail}" for i in report.issues[:3])
-        super().__init__(f"invalid instance: {issues}")
-        self.report = report
+        super().__init__("invalid instance: " + "; ".join(
+            f"{f['kind']}: {f['detail']}" for f in report.failures[:3]))
 
 
 class GreedyStuck(HyperfactorError):
@@ -87,13 +86,9 @@ class InfeasibleTransport(HyperfactorError):
     """A detachment transportation problem has no integral solution.
 
     Mathematically impossible when the state invariants hold, so this is a
-    fatal internal error; the problem is attached for diagnosis.
+    fatal internal error; the message names the first row left short.
     """
     outcome = "infeasible"
-
-    def __init__(self, message: str, problem=None):
-        super().__init__(message)
-        self.problem = problem
 
 
 class InternalInvariantViolation(HyperfactorError):

@@ -119,15 +119,20 @@ class Certificate:
 
 
 @dataclass
-class ValidationIssue:
-    kind: str
-    detail: str
+class Report:
+    """The failures a check found, each ``{"kind": ..., "detail": ...}``; it passes with none.
 
+    ``validate_instance`` and ``verify.verify_certificate`` both return one.
+    """
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[ValidationIssue] = field(default_factory=list)
+    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        return {"pass": self.ok, "failures": self.failures}
 
 
 def is_admissible(params: Parameters) -> bool:
@@ -143,15 +148,16 @@ def is_admissible(params: Parameters) -> bool:
     return sum(params.r) == params.lam * binom(n - 1, h - 1)
 
 
-def validate_instance(inst: Instance) -> ValidationReport:
+def validate_instance(inst: Instance) -> Report:
     """Check that the coloring covers exactly lambda K_m^h within degree caps.
 
     Reports every malformed class; only when there is none, every missing or
     extra edge copy and every per-vertex per-color degree above r_j.
-    ``InvalidInstance`` shows the first three issues.
+    ``InvalidInstance`` shows the first three failures.
     """
     p = inst.params
-    issues: list[ValidationIssue] = []
+    failures: list[dict] = []
+    fail = failures.append
 
     totals: dict[tuple[int, ...], int] = {}
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
@@ -170,29 +176,26 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if any(c <= 0 for c in cls.colors.values()):
             problems.append("zero or negative copy count")
         if problems:
-            issues.append(ValidationIssue("malformed_class", f"class {idx}: " + "; ".join(problems)))
+            fail({"kind": "malformed_class", "detail": f"class {idx}: " + "; ".join(problems)})
             continue
         totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors.values())
         for v in cls.support:
             for j, cnt in cls.colors.items():
                 degrees[v][j] += cnt
 
-    if not issues:   # each well-formed support is an h-subset of [1, m], so the walk meets it
+    if not failures:   # each well-formed support is an h-subset of [1, m], so the walk meets it
         for subset in combinations(range(1, p.m + 1), p.h):
             got = totals.get(subset, 0)
-            if got < p.lam:
-                issues.append(ValidationIssue(
-                    "missing_edges", f"{set(subset)} has {got} copies, expected {p.lam}"))
-            elif got > p.lam:
-                issues.append(ValidationIssue(
-                    "extra_edges", f"{set(subset)} has {got} copies, expected {p.lam}"))
+            if got != p.lam:
+                fail({"kind": "missing_edges" if got < p.lam else "extra_edges",
+                      "detail": f"{set(subset)} has {got} copies, expected {p.lam}"})
         for v, row in degrees.items():
             for j, (d, rj) in enumerate(zip(row, p.r), start=1):
                 if d > rj:
-                    issues.append(ValidationIssue(
-                        "degree_cap_exceeded", f"vertex {v} has degree {d} in color {j}, cap {rj}"))
+                    fail({"kind": "degree_cap_exceeded",
+                          "detail": f"vertex {v} has degree {d} in color {j}, cap {rj}"})
 
-    return ValidationReport(ok=not issues, issues=issues)
+    return Report(failures)
 
 
 # ---------------------------------------------------------------------------

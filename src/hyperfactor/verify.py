@@ -2,31 +2,22 @@
 
 The verifier recomputes every degree and multiplicity from the certificate
 alone so that it can catch pipeline bugs; it deliberately shares no
-intermediate state with the construction stages.
+intermediate state with the construction stages. It reports in
+``model.Report``, the type ``validate_instance`` returns too: a shared shape,
+not shared state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import eq, itemgetter, lt
 
 from .combinatorics import binom
-from .model import Certificate, EdgeClass, Instance
-
-
-@dataclass
-class VerifyReport:
-    ok: bool
-    failures: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"pass": self.ok, "failures": self.failures}
-
+from .model import Certificate, EdgeClass, Instance, Report
 
 _MAX_FAILURES = 20
 
 
-def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
+def verify_certificate(cert: Certificate, inst: Instance) -> Report:
     """Check extension, completeness and regularity of a certificate.
 
     (a) extension: restricted to supports inside [1, m], the certificate
@@ -49,7 +40,7 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
 
     if p != inst.params:
         fail("extension", "certificate and instance parameters differ")
-        return VerifyReport(ok=False, failures=failures)
+        return Report(failures)
 
     shape = (p.h, frozenset(range(1, p.n + 1)), frozenset(range(p.k)))
     fine = (repeat(True) if _well_formed(cert.coloring, *shape)   # else name the bad classes
@@ -94,7 +85,7 @@ def verify_certificate(cert: Certificate, inst: Instance) -> VerifyReport:
                     fail("regularity",
                          f"vertex {v} has degree {d} in color {j + 1}, expected {r[j]}")
 
-    return VerifyReport(ok=not failures, failures=failures)
+    return Report(failures)
 
 
 def _well_formed(classes, h: int, vertices: frozenset, colors: frozenset) -> bool:

@@ -116,12 +116,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "cannot write" in err[0]
 
-    def test_exit_4_on_invalid_coloring(self, tmp_path):
-        doc = json.loads(WORKED_DOC)
-        doc["edges"][0]["colors"] = {"1": 2}   # two copies but lambda = 1
+    @pytest.mark.parametrize("doc, line", [
+        ({**json.loads(WORKED_DOC),   # two copies but lambda = 1
+          "edges": [{"support": [1, 2], "alpha": 0, "colors": {"1": 2}}]},
+         "error: invalid instance: extra_edges: {1, 2} has 2 copies, expected 1; "
+         "degree_cap_exceeded: vertex 1 has degree 2 in color 1, cap 1; "
+         "degree_cap_exceeded: vertex 2 has degree 2 in color 1, cap 1"),
+        ({"n": 6, "m": 3, "h": 2, "lambda": 1, "r": [1] * 5,   # four failures: the line names three
+          "edges": [{"support": [1, 2], "alpha": 0, "colors": {"1": 2}},
+                    {"support": [1, 3], "alpha": 0, "colors": {"1": 1}},
+                    {"support": [2, 3], "alpha": 0, "colors": {"1": 1}}]},
+         "error: invalid instance: extra_edges: {1, 2} has 2 copies, expected 1; "
+         "degree_cap_exceeded: vertex 1 has degree 3 in color 1, cap 1; "
+         "degree_cap_exceeded: vertex 2 has degree 3 in color 1, cap 1"),
+    ], ids=["three_failures", "four_failures"])
+    def test_exit_4_on_invalid_coloring(self, tmp_path, capsys, doc, line):
         path = tmp_path / "invalid.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["extend", str(path)]) == 4
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_exit_5_when_stuck_in_forced_mode(self, tmp_path):
         path = tmp_path / "stuck.json"
@@ -142,7 +155,7 @@ class TestExitCodes:
         from hyperfactor import detach
 
         def broken(tp):
-            raise InfeasibleTransport("forced for test", tp)
+            raise InfeasibleTransport("forced for test")
 
         monkeypatch.setattr(detach, "solve_transportation", broken)
         assert run_cli(["extend", worked_path]) == 6
@@ -153,14 +166,14 @@ class TestExitCodes:
 
         def failing(cert, inst):
             report = real(cert, inst)
-            report.ok = False
+            report.failures.append({"kind": "regularity", "detail": "forced for test"})
             return report
 
         monkeypatch.setattr(cli, "verify_certificate", failing)
         out = tmp_path / "cert.json"
         assert run_cli(["extend", worked_path, "-o", str(out)]) == 6
         assert capsys.readouterr().err.splitlines() == [
-            "error: produced certificate failed verification"]
+            "error: produced certificate failed verification: regularity: forced for test"]
         assert not out.exists()
 
     def test_exit_6_names_the_first_verification_failure(self, worked_path, tmp_path,
@@ -529,7 +542,8 @@ class TestSweep:
 
         def fail_at_n6(cert, inst):
             report = real(cert, inst)
-            report.ok = report.ok and inst.params.n != 6
+            if inst.params.n == 6:
+                report.failures.append({"kind": "regularity", "detail": "forced for test"})
             return report
 
         monkeypatch.setattr(cli, "verify_certificate", fail_at_n6)

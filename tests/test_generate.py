@@ -34,7 +34,7 @@ class TestRandomInstance:
         params = Parameters(n=6, m=3, h=2, lam=2, r=(2, 2, 2, 2, 2))
         inst = random_instance(params, seed=1)
         report = validate_instance(inst)
-        assert report.ok, report.issues[:2]
+        assert report.ok, report.failures[:2]
 
     def test_rejects_inadmissible(self):
         with pytest.raises(InadmissibleParameters):

@@ -14,6 +14,7 @@ from hyperfactor.model import (
     EdgeClass,
     Instance,
     Parameters,
+    Report,
     is_admissible,
     parse_certificate,
     parse_instance,
@@ -70,13 +71,13 @@ class TestValidateInstance:
         inst = make_instance(4, 2, 2, 1, (1, 1, 1), {(1, 2): {1: 1, 2: 1}})
         report = validate_instance(inst)
         assert not report.ok
-        assert report.issues[0].kind == "extra_edges"
+        assert report.failures[0]["kind"] == "extra_edges"
 
     def test_missing_edges(self):
         inst = make_instance(4, 3, 2, 1, (1, 1, 1),
                              {(1, 2): {1: 1}, (1, 3): {2: 1}})
         report = validate_instance(inst)
-        assert any(i.kind == "missing_edges" for i in report.issues)
+        assert any(f["kind"] == "missing_edges" for f in report.failures)
 
     def test_degree_cap_exceeded(self):
         inst = make_instance(6, 3, 2, 1, (2, 2, 1),
@@ -87,8 +88,8 @@ class TestValidateInstance:
         assert validate_instance(inst).ok
         report = validate_instance(bad)
         assert not report.ok
-        assert report.issues[0].kind == "degree_cap_exceeded"
-        assert "vertex 1" in report.issues[0].detail
+        assert report.failures[0]["kind"] == "degree_cap_exceeded"
+        assert "vertex 1" in report.failures[0]["detail"]
 
     def test_double_copies_within_cap(self):
         inst = make_instance(6, 3, 2, 2, (2, 2, 2, 2, 2),
@@ -100,7 +101,7 @@ class TestValidateInstance:
         inst.coloring[0].amalgam = 1
         report = validate_instance(inst)
         assert not report.ok
-        assert report.issues[0].kind == "malformed_class"
+        assert report.failures[0]["kind"] == "malformed_class"
 
     @pytest.mark.parametrize("colors, problem", [
         ({3: 1}, "color index outside [0, 3)"),
@@ -113,8 +114,8 @@ class TestValidateInstance:
         inst = make_instance(4, 2, 2, 1, (1, 1, 1), {})
         inst.coloring = [EdgeClass(support=(1, 2), amalgam=0, colors=colors)]
         report = validate_instance(inst)
-        assert [issue.kind for issue in report.issues] == ["malformed_class"]
-        assert report.issues[0].detail == f"class 0: {problem}"
+        assert [f["kind"] for f in report.failures] == ["malformed_class"]
+        assert report.failures[0]["detail"] == f"class 0: {problem}"
 
     @pytest.mark.parametrize("support, problem", [
         ((2, 1), "support must be strictly increasing"),
@@ -126,8 +127,30 @@ class TestValidateInstance:
         inst = make_instance(4, 2, 2, 1, (1, 1, 1), {})
         inst.coloring = [EdgeClass(support=support, amalgam=0, colors={0: 1})]
         report = validate_instance(inst)
-        assert [issue.kind for issue in report.issues] == ["malformed_class"]
-        assert report.issues[0].detail == f"class 0: {problem}"
+        assert [f["kind"] for f in report.failures] == ["malformed_class"]
+        assert report.failures[0]["detail"] == f"class 0: {problem}"
+
+
+class TestReport:
+    """Both checks report in one shape, and a report passes exactly when it names no failure."""
+
+    def test_validation_and_verification_fail_in_one_shape(self, worked_instance):
+        invalid = make_instance(4, 2, 2, 1, (1, 1, 1), {(1, 2): {1: 2}})
+        cert = extend_instance(worked_instance)
+        assert cert.coloring[0].support == (1, 2)
+        cert.coloring[0].colors = {1: 1}   # {1, 2} from color 1 to color 2: not an extension
+        for report in (validate_instance(invalid), verify_certificate(cert, worked_instance)):
+            doc = report.to_json()
+            assert list(doc) == ["pass", "failures"] and doc["pass"] is False and doc["failures"]
+            for failure in doc["failures"]:
+                assert list(failure) == ["kind", "detail"]
+                assert isinstance(failure["kind"], str) and isinstance(failure["detail"], str)
+
+    def test_passes_exactly_when_no_failure_is_named(self):
+        assert Report().ok and Report().to_json() == {"pass": True, "failures": []}
+        failure = {"kind": "extra_edges", "detail": "{1, 2} has 2 copies, expected 1"}
+        assert not Report([failure]).ok
+        assert Report([failure]).to_json() == {"pass": False, "failures": [failure]}
 
 
 WORKED_DOC = ('{"n":4,"m":2,"h":2,"lambda":1,"r":[1,1,1],'
@@ -327,6 +350,7 @@ class TestParseErrorLocations:
         ([True, 2], "expected an integer", "$.edges[1].support[0]"),
         ([1, 3], "vertex 3 outside [1, 2]", "$.edges[1].support[1]"),
         ([2, 2], "repeated vertex in support", "$.edges[1].support"),
+        ([2, 3], "vertex 3 outside [1, 2]", "$.edges[1].support[1]"),   # m, then a vertex past it
     ])
     def test_support(self, support, reason, location):
         err = self.error_for({"support": support, "alpha": 0, "colors": {"1": 1}})
