@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .combinatorics import binom
 from .errors import (
@@ -38,8 +38,8 @@ class AmalgamState:
     and the detach step's delete keep both in step with ``classes``. Write-once
     rule: a class gains its colors from one writer (the input, the greedy once
     per level class, the quotas, or a detach target's one donor), and later
-    steps only take copies from live maps. So a finished map must equal the
-    copy ``sealed`` took when ``check`` ended its stage, interned by content in
+    steps only take copies from live maps. ``sealed`` holds the copy of each
+    finished map a full ``check`` has counted, interned by content in
     ``seals``. A live map lists its colors ascending, as its writer filled it.
     ``degrees`` maps each original vertex 1..m to its dense per-color
     degrees; only the greedy levels and ``finish_levels`` read it.
@@ -63,26 +63,37 @@ class AmalgamState:
     def weight(self) -> int:
         return self.params.n - self.params.m - self.detached
 
-    def check(self) -> None:
-        """Assert the invariant of a fully colored state at weight q, in one pass.
+    def check(self, tp=None, plan=None) -> None:
+        """Assert the invariant of a fully colored state at weight q.
 
-        Every class (X, i) holds exactly lambda * C(q, i) copies.
-        For each color j, the live classes (i >= 1) weigh sum i * count_j,
-        the amalgam's degree, which must equal r_j * q. A finished map is
-        counted once, then compared at C speed with its sealed copy. At q = 0
-        no class keeps amalgam slots.
-
-        This is the detach stage's only check of its plan's sums, read at
-        the weight q the step leaves. A source row keeps lambda * C(q, i)
-        exactly when it sums to its supply, and its target, which has no
-        other donor, then holds lambda * C(q, i - 1); so a wrong row sum
-        breaks a class total. Each moved copy lowers its color's live weight
-        by one, so a wrong column sum misses r_j * q.
+        Every class (X, i) holds lambda * C(q, i) copies, the live classes
+        weigh r_j * q in each color j (sum i * count_j, the amalgam's degree),
+        every class is live or finished, and at q = 0 none is live. Given a
+        detach step's ``tp`` and ``plan``, it reads the sums off the nonzero
+        moves: row (X, i) gives lambda * C(q, i - 1) copies, color j gets r_j.
+        That suffices: the check held before the step, the walk kept each move
+        within its cap, every live class is a row and a target's only donor is
+        its row. So a source keeps lambda * C(q, i) exactly when its row sum is
+        right, its target then holds lambda * C(q, i - 1), and each moved copy
+        lowers its color's weight by one. By the write-once rule only a hook
+        may write between stages, so the quotas and a step under a hook pass no
+        plan. Then, or if a sum fails, each live cell is recounted and each
+        finished map counted once, then compared at C speed with its sealed
+        copy; a failure names its class or color, else the plan's first wrong
+        row or color.
         """
-        p = self.params
-        q = self.weight
+        p, q = self.params, self.weight
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
         classes, live, finished, sealed = self.classes, self.live, self.finished, self.sealed
+        if tp is not None:   # the step's sums, from its nonzero moves
+            given = [(c, sum(row), per_level[c[1] - 1]) for c, row in zip(tp.rows, plan.moves)]
+            columns = [0] * p.k
+            for row_colors, moves in zip(tp.colors, plan.moves):
+                for j, moved in compress(zip(row_colors, moves), moves):
+                    columns[j] += moved
+            if (all(n == e for _, n, e in given) and tuple(columns) == p.r
+                    and len(live) + len(finished) == len(classes) and (q or not live)):
+                return
         if len(live) + len(finished) != len(classes):
             raise InternalInvariantViolation(
                 f"{len(classes)} classes, but {len(live)} live and {len(finished)} finished")
@@ -111,6 +122,11 @@ class AmalgamState:
                     f"color {j}: live classes weigh {w}, expected {rj * q}")
         if not q and live:
             raise InternalInvariantViolation(f"class {min(live)} kept amalgam slots")
+        if tp is not None:   # the recount holds, so a row or a color of the plan is off
+            wrong = [f"row {c} gives {n} copies, expected {e}" for c, n, e in given if n != e]
+            wrong += [f"color {j}: moves total {n}, expected {rj}"
+                      for j, (n, rj) in enumerate(zip(columns, p.r), start=1) if n != rj]
+            raise InternalInvariantViolation(wrong[0])
 
     def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)

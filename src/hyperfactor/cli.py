@@ -143,9 +143,14 @@ def _run_extension(inst: Instance, args) -> int:
     report = verify_certificate(cert, inst)
     cert.report = report.to_json()
     if not report.ok:
-        first = report.failures[0]
+        first, records, where = report.failures[0], [], ""
+        try:   # a replay under a hook recounts the state after every detach step
+            extend_instance(inst, seed=args.seed, trace=records.append, hook=lambda *step: None)
+        except InternalInvariantViolation as exc:
+            step = 1 + sum(record["stage"] == "detach" for record in records)
+            where = f"; first broken at detach step {step}: {exc}"
         raise InternalInvariantViolation(
-            f"produced certificate failed verification: {first['kind']}: {first['detail']}")
+            f"produced certificate failed verification: {first['kind']}: {first['detail']}{where}")
     _write_output(serialize_certificate(cert), args.output)
     return 0
 

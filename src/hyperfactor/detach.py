@@ -230,7 +230,8 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     length and each cell's 0 <= move <= cap before it is written, visiting
     only nonzero moves: a zero one passes and writes nothing. A failed check
     leaves the state partly applied; discard it. The hook sees the plan before
-    the walk. ``state.check()`` then checks the sums, as its docstring says.
+    the walk; ``state.check`` then checks the step, from its moves unless a
+    hook ran, as its docstring says.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -259,7 +260,10 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
             del state.classes[key], state.live[key]
 
     state.detached += 1
-    state.check()
+    if hook is None:
+        state.check(tp, plan)
+    else:
+        state.check()
     return state
 
 

@@ -195,6 +195,32 @@ class TestExitCodes:
             "regularity: vertex 2 has degree 2 in color 2, expected 1"]
         assert not out.exists()
 
+    def test_exit_6_names_the_first_broken_detach_step(self, tmp_path, monkeypatch, capsys):
+        # At step 3 a finished class, made by step 1, is recolored: every class
+        # total and every live weight holds, so only the verifier and the
+        # replay's recount see it.
+        path = str(tmp_path / "inst.json")
+        assert run_cli(["gen", "--n", "8", "--m", "4", "--h", "2", "--r", "ones",
+                        "--seed", "1", "-o", path]) == 0
+        real = detach.build_transportation
+
+        def recoloring(state):
+            if state.detached == 2:
+                colors = state.classes[((1, 5), 0)].colors
+                (j, cnt), = colors.items()
+                del colors[j]
+                colors[(j + 1) % state.params.k] = cnt
+            return real(state)
+
+        monkeypatch.setattr(detach, "build_transportation", recoloring)
+        out = tmp_path / "cert.json"
+        assert run_cli(["extend", path, "-o", str(out)]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: produced certificate failed verification: "
+            "regularity: vertex 1 has degree 0 in color 4, expected 1; "
+            "first broken at detach step 3: class ((1, 5), 0) went from {3: 1} to {4: 1}"]
+        assert not out.exists()
+
     def test_module_entry_point_exits_with_the_error_code(self, tmp_path):
         path = tmp_path / "array.json"
         path.write_text("[]")

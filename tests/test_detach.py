@@ -7,8 +7,15 @@ from itertools import product
 
 import pytest
 
-from hyperfactor.amalgam import assign_level_h, build_amalgam, finish_levels, greedy_color_level
-from hyperfactor.combinatorics import binom
+from hyperfactor.amalgam import (
+    AmalgamState,
+    assign_level_h,
+    build_amalgam,
+    finish_levels,
+    greedy_color_level,
+)
+from hyperfactor.cli import build_r_vector
+from hyperfactor.combinatorics import binom, bound_holds
 from hyperfactor.detach import (
     DetachPlan,
     TransportationProblem,
@@ -17,9 +24,14 @@ from hyperfactor.detach import (
     detach_step,
     solve_transportation,
 )
-from hyperfactor.errors import InfeasibleTransport, InternalInvariantViolation
+from hyperfactor.errors import (
+    InadmissibleParameters,
+    InfeasibleTransport,
+    InternalInvariantViolation,
+)
 from hyperfactor.generate import random_instance
-from hyperfactor.model import EdgeClass, Parameters
+from hyperfactor.model import EdgeClass, Parameters, is_admissible, serialize_certificate
+from hyperfactor.pipeline import extend_instance
 from hyperfactor.verify import verify_certificate
 
 
@@ -433,6 +445,76 @@ class TestStepChecks:
 
         with pytest.raises(InternalInvariantViolation, match=r"^color 2: live classes weigh"):
             detach_step(ready_state(worked_instance), hook=shift_copy)
+
+
+def small_cells() -> list[Parameters]:
+    """Admissible above-bound cells like the benchmark's sweep.
+
+    h=2 takes m in 2..8 and h=3 m in 3..4; n runs from the first value above
+    the bound up to 3 more; lambda in 1..3; r is ones or uniform:2.
+    """
+    cells = []
+    for h, m_values in ((2, range(2, 9)), (3, range(3, 5))):
+        for m in m_values:
+            first = next(n for n in range(m + 1, 10 * m) if bound_holds(n, m, h))
+            for n, lam, pattern in product(range(first, first + 4), (1, 2, 3),
+                                           ("ones", "uniform:2")):
+                try:
+                    params = Parameters(n=n, m=m, h=h, lam=lam,
+                                        r=build_r_vector(pattern, n, h, lam))
+                except InadmissibleParameters:
+                    continue
+                if is_admissible(params):
+                    cells.append(params)
+    return cells
+
+
+class TestFastCheck:
+    """Without a hook a step checks its sums from its moves; the recount runs elsewhere."""
+
+    @staticmethod
+    def count_recounts(monkeypatch):
+        recounts = []
+        real = AmalgamState.check
+
+        def counting(state, tp=None, plan=None):
+            recounts.append(tp is None)
+            return real(state, tp, plan)
+
+        monkeypatch.setattr(AmalgamState, "check", counting)
+        return recounts
+
+    @pytest.mark.parametrize("hook", [None, lambda state, tp, plan: None], ids=["plain", "hook"])
+    def test_full_recounts_in_a_passing_extension(self, monkeypatch, hook):
+        params = Parameters(n=14, m=4, h=2, lam=1, r=(1,) * 13)
+        inst = random_instance(params, seed=3)
+        recounts = self.count_recounts(monkeypatch)
+        assert verify_certificate(extend_instance(inst, seed=3, hook=hook), inst).ok
+        assert len(recounts) == params.n - params.m + 1   # the quotas and each step
+        assert sum(recounts) == (1 if hook is None else params.n - params.m + 1)
+
+    def test_hook_and_no_hook_give_the_same_certificates(self):
+        sample = random.Random(23).sample(small_cells(), 60)
+        assert {p.h for p in sample} == {2, 3} and {p.lam for p in sample} == {1, 2, 3}
+        for t, params in enumerate(sample):
+            inst = random_instance(params, seed=t)
+            seed = t if t % 2 else None   # every other cell shuffles its greedy levels
+            plain = detach_all(ready_state(inst, seed=seed))
+            hooked = detach_all(ready_state(inst, seed=seed), hook=lambda state, tp, plan: None)
+            assert serialize_certificate(plain) == serialize_certificate(hooked), (params, seed)
+
+    # After the worked example's first step the state is sound, so a plan with
+    # a wrong sum passes the recount and is named by its row or color.
+    @pytest.mark.parametrize("moves, message", [
+        ([[1], [1, 1], [0, 0]], r"^row \(\(1,\), 1\) gives 2 copies, expected 1$"),
+        ([[1], [1, 0], [1, 0]], r"^color 2: moves total 2, expected 1$"),
+    ], ids=["row", "color"])
+    def test_plan_sums_named_when_the_recount_holds(self, worked_instance, moves, message):
+        state = ready_state(worked_instance)
+        tp = build_transportation(state)
+        detach_step(state)
+        with pytest.raises(InternalInvariantViolation, match=message):
+            state.check(tp, DetachPlan(moves=moves))
 
 
 class TestDetachAll:
