@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
+from operator import attrgetter, getitem, itemgetter, lt
 
 from .combinatorics import binom
 from .errors import SchemaError, TooLarge
@@ -21,6 +22,9 @@ from .errors import SchemaError, TooLarge
 # own overhead; the per-vertex degree counters, n * k, fit under it too. The
 # largest benchmark workload (h=3, n=33, k=496) is charged 2.75 M.
 MAX_STATE_SLOTS = 50_000_000
+
+# The most failures a Report lists; a check stops looking once it has this many.
+MAX_FAILURES = 20
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,18 @@ def is_admissible(params: Parameters) -> bool:
 def validate_instance(inst: Instance) -> Report:
     """Check that the coloring covers exactly lambda K_m^h within degree caps.
 
-    Reports every malformed class; only when there is none, every missing or
-    extra edge copy and every per-vertex per-color degree above r_j.
-    ``InvalidInstance`` shows the first three failures.
+    Reports malformed classes; only when there is none, missing or extra edge
+    copies and per-vertex per-color degrees above r_j. It lists the first
+    MAX_FAILURES failures in that order and looks no further;
+    ``InvalidInstance`` shows the first three.
     """
-    p = inst.params
-    failures: list[dict] = []
-    fail = failures.append
+    return Report(list(islice(_instance_failures(inst), MAX_FAILURES)))
 
+
+def _instance_failures(inst: Instance):
+    """Yield ``validate_instance``'s failures in order, each found only when asked for."""
+    p = inst.params
+    malformed = False
     totals: dict[tuple[int, ...], int] = {}
     degrees = {v: [0] * p.k for v in range(1, p.m + 1)}
     for idx, cls in enumerate(inst.coloring):
@@ -176,26 +184,27 @@ def validate_instance(inst: Instance) -> Report:
         if any(c <= 0 for c in cls.colors.values()):
             problems.append("zero or negative copy count")
         if problems:
-            fail({"kind": "malformed_class", "detail": f"class {idx}: " + "; ".join(problems)})
+            malformed = True
+            yield {"kind": "malformed_class", "detail": f"class {idx}: " + "; ".join(problems)}
             continue
         totals[cls.support] = totals.get(cls.support, 0) + sum(cls.colors.values())
         for v in cls.support:
             for j, cnt in cls.colors.items():
                 degrees[v][j] += cnt
+    if malformed:
+        return
 
-    if not failures:   # each well-formed support is an h-subset of [1, m], so the walk meets it
-        for subset in combinations(range(1, p.m + 1), p.h):
-            got = totals.get(subset, 0)
-            if got != p.lam:
-                fail({"kind": "missing_edges" if got < p.lam else "extra_edges",
-                      "detail": f"{set(subset)} has {got} copies, expected {p.lam}"})
-        for v, row in degrees.items():
-            for j, (d, rj) in enumerate(zip(row, p.r), start=1):
-                if d > rj:
-                    fail({"kind": "degree_cap_exceeded",
-                          "detail": f"vertex {v} has degree {d} in color {j}, cap {rj}"})
-
-    return Report(failures)
+    # Each well-formed support is an h-subset of [1, m], so the walk meets it.
+    for subset in combinations(range(1, p.m + 1), p.h):
+        got = totals.get(subset, 0)
+        if got != p.lam:
+            yield {"kind": "missing_edges" if got < p.lam else "extra_edges",
+                   "detail": f"{set(subset)} has {got} copies, expected {p.lam}"}
+    for v, row in degrees.items():
+        for j, (d, rj) in enumerate(zip(row, p.r), start=1):
+            if d > rj:
+                yield {"kind": "degree_cap_exceeded",
+                       "detail": f"vertex {v} has degree {d} in color {j}, cap {rj}"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +222,7 @@ def validate_instance(inst: Instance) -> Report:
 _INSTANCE_KEYS = ("n", "m", "h", "lambda", "r", "edges")
 _EDGE_KEYS = ("support", "alpha", "colors")
 _EDGE_KEY_SET = frozenset(_EDGE_KEYS)
+_FIELD_GETTERS = tuple(map(itemgetter, _EDGE_KEYS))
 
 
 def _require_int(value, location: str) -> int:
@@ -241,20 +251,84 @@ class _BadField(Exception):
 
 
 def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeClass]:
-    """The edge classes of a document, merged per support, with no zero counts.
+    """The edge classes of a document, merged per support, sorted, with no zero counts.
+
+    A canonical ``edges`` array is decided in bulk (``_canonical_edges``).
+    Any other is walked entry by entry (``_walk_edges``): the walk merges and
+    sorts a valid document, and names the first error of a damaged one. Color
+    labels are checked once per distinct label present, so the cost follows
+    the labels a document holds, not k.
+    """
+    entries = doc["edges"]
+    if not isinstance(entries, list):
+        raise SchemaError("expected a list", "$.edges")
+    classes = _canonical_edges(entries, params, max_vertex)
+    return classes if classes is not None else _walk_edges(entries, params, max_vertex)
+
+
+def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list[EdgeClass] | None:
+    """The classes of ``entries`` if each test below passes on the whole array, else None.
+
+    The tests run at C speed over columns of the array: every entry is an
+    object of exactly the three fields, every support a list of h ascending
+    ints in [1, max_vertex], every alpha the int 0, every color map nonempty
+    with int counts >= 1 under labels in [1, k], and no support repeats.
+    ``type(v) is int`` rejects true and 1.0, which compare equal to 1. A
+    document that fails any test, valid or not, is left to the walk.
+    """
+    if not entries:
+        return []
+    if not ({dict}.issuperset(map(type, entries)) and {3}.issuperset(map(len, entries))):
+        return None
+    try:
+        supports, alphas, maps = (list(map(get, entries)) for get in _FIELD_GETTERS)
+    except KeyError:
+        return None
+    h = params.h
+    if not ({list}.issuperset(map(type, supports)) and {h}.issuperset(map(len, supports))):
+        return None
+    vertices = list(chain.from_iterable(supports))
+    columns = [vertices[i::h] for i in range(h)]   # column i holds each support's i-th vertex
+    if not ({int}.issuperset(map(type, vertices))
+            and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+            and min(columns[0]) >= 1 and max(columns[-1]) <= max_vertex
+            and {int}.issuperset(map(type, alphas)) and not any(alphas)
+            and {dict}.issuperset(map(type, maps)) and all(maps)):
+        return None
+    del vertices, columns, alphas   # dropped once checked, so they add nothing to the peak
+    labels = list(chain.from_iterable(maps))
+    one_color = len(labels) == len(maps)   # no map is empty, so each holds exactly one
+    counts = (list(map(getitem, maps, labels)) if one_color
+              else list(chain.from_iterable(map(dict.values, maps))))
+    if not ({int}.issuperset(map(type, counts)) and min(counts) >= 1):
+        return None
+    try:
+        color_of = {label: _color_index(label, params.k) for label in set(labels)}
+    except _BadField:
+        return None
+    ordered = all(map(lt, supports, supports[1:]))
+    if not ordered and len(set(map(tuple, supports))) < len(supports):
+        return None   # a repeated support, which the walk merges
+    colors = ([{color_of[label]: cnt} for label, cnt in zip(labels, counts)] if one_color
+              else [{color_of[label]: cnt for label, cnt in labelled.items()} for labelled in maps])
+    del labels, counts, maps
+    classes = list(map(EdgeClass, map(tuple, supports), repeat(0), colors))
+    if not ordered:
+        classes.sort(key=attrgetter("support"))
+    return classes
+
+
+def _walk_edges(entries: list, params: Parameters, max_vertex: int) -> list[EdgeClass]:
+    """``_parse_edges`` one entry at a time: the only path that raises SchemaError.
 
     A failed check names the field's path inside its entry, and the full
     ``$.edges[i]...`` location is formatted only then. JSON integers parse as
     ``int`` and true/false as ``bool``, so ``type(v) is int`` is exactly
     ``_require_int``'s test.
     """
-    edges_raw = doc["edges"]
-    if not isinstance(edges_raw, list):
-        raise SchemaError("expected a list", "$.edges")
-
     color_of: dict[str, int] = {}   # the color labels met so far, as 0-based colors
     merged: dict[tuple[int, ...], dict[int, int]] = {}
-    for idx, entry in enumerate(edges_raw):
+    for idx, entry in enumerate(entries):
         try:
             if type(entry) is not dict:
                 raise _BadField("expected an object", "")

@@ -12,9 +12,7 @@ from itertools import chain, combinations, repeat
 from operator import eq, itemgetter, lt
 
 from .combinatorics import binom
-from .model import Certificate, EdgeClass, Instance, Report
-
-_MAX_FAILURES = 20
+from .model import MAX_FAILURES, Certificate, EdgeClass, Instance, Report
 
 
 def verify_certificate(cert: Certificate, inst: Instance) -> Report:
@@ -35,7 +33,7 @@ def verify_certificate(cert: Certificate, inst: Instance) -> Report:
     failures: list[dict] = []
 
     def fail(kind: str, detail: str) -> None:
-        if len(failures) < _MAX_FAILURES:
+        if len(failures) < MAX_FAILURES:
             failures.append({"kind": kind, "detail": detail})
 
     if p != inst.params:

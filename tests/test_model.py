@@ -6,10 +6,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperfactor import cli
 from hyperfactor.combinatorics import binom
 from hyperfactor.errors import SchemaError, TooLarge
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
+    MAX_FAILURES,
     Certificate,
     EdgeClass,
     Instance,
@@ -129,6 +131,21 @@ class TestValidateInstance:
         report = validate_instance(inst)
         assert [f["kind"] for f in report.failures] == ["malformed_class"]
         assert report.failures[0]["detail"] == f"class 0: {problem}"
+
+    def test_failures_are_capped_in_order(self, tmp_path, capsys):
+        # 44 850 copies are missing; the report lists the first MAX_FAILURES of them.
+        inst = make_instance(400, 300, 2, 1, (1,) * 399, {})
+        report = validate_instance(inst)
+        assert report.failures == [
+            {"kind": "missing_edges", "detail": f"{set((1, v))} has 0 copies, expected 1"}
+            for v in range(2, 2 + MAX_FAILURES)]
+        path = tmp_path / "no-edges.json"
+        path.write_text(serialize_instance(inst))
+        assert cli.main(["extend", str(path), "--force"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid instance: missing_edges: {1, 2} has 0 copies, expected 1; "
+            "missing_edges: {1, 3} has 0 copies, expected 1; "
+            "missing_edges: {1, 4} has 0 copies, expected 1"]
 
 
 class TestReport:

@@ -8,9 +8,9 @@ import pytest
 
 from hyperfactor.combinatorics import binom
 from hyperfactor.generate import random_instance
-from hyperfactor.model import Certificate, EdgeClass, Instance, Parameters, Report
+from hyperfactor.model import MAX_FAILURES, Certificate, EdgeClass, Instance, Parameters, Report
 from hyperfactor.pipeline import extend_instance
-from hyperfactor.verify import _MAX_FAILURES, _summed_colors, verify_certificate
+from hyperfactor.verify import _summed_colors, verify_certificate
 
 from conftest import make_instance
 from oracles import EXHAUSTED, TOO_LARGE, brute_force_extend
@@ -139,7 +139,7 @@ def reference_verify(cert: Certificate, inst: Instance) -> Report:
     failures: list[dict] = []
 
     def fail(kind: str, detail: str) -> None:
-        if len(failures) < _MAX_FAILURES:
+        if len(failures) < MAX_FAILURES:
             failures.append({"kind": kind, "detail": detail})
 
     if p != inst.params:
@@ -250,7 +250,7 @@ class TestBulkVerdicts:
         for coloring in malformed_colorings(cert):
             report = self.same_report(Certificate(params=cert.params, coloring=coloring),
                                       worked_instance)
-        assert len(report["failures"]) == _MAX_FAILURES   # 25 failures, capped
+        assert len(report["failures"]) == MAX_FAILURES   # 25 failures, capped
 
 
 class TestBruteForceExtend:
