@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations
 
 from .combinatorics import binom
 from .errors import (
@@ -69,8 +69,9 @@ class AmalgamState:
         Every class (X, i) holds lambda * C(q, i) copies, the live classes
         weigh r_j * q in each color j (sum i * count_j, the amalgam's degree),
         every class is live or finished, and at q = 0 none is live. Given a
-        detach step's ``tp`` and ``plan``, it reads the sums off the nonzero
-        moves: row (X, i) gives lambda * C(q, i - 1) copies, color j gets r_j.
+        detach step's ``tp`` and ``plan``, it reads the sums off the plan's
+        sparse row maps, one pass over the moved cells: row (X, i) gives
+        lambda * C(q, i - 1) copies, color j gets r_j.
         That suffices: the check held before the step, the walk kept each move
         within its cap, every live class is a row and a target's only donor is
         its row. So a source keeps lambda * C(q, i) exactly when its row sum is
@@ -86,10 +87,10 @@ class AmalgamState:
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
         classes, live, finished, sealed = self.classes, self.live, self.finished, self.sealed
         if tp is not None:   # the step's sums, from its nonzero moves
-            given = [(c, sum(row), per_level[c[1] - 1]) for c, row in zip(tp.rows, plan.moves)]
-            columns = [0] * p.k
-            for row_colors, moves in zip(tp.colors, plan.moves):
-                for j, moved in compress(zip(row_colors, moves), moves):
+            given, columns = [], [0] * p.k
+            for c, row in zip(tp.rows, plan.moves):
+                given.append((c, sum(row.values()), per_level[c[1] - 1]))
+                for j, moved in row.items():
                     columns[j] += moved
             if (all(n == e for _, n, e in given) and tuple(columns) == p.r
                     and len(live) + len(finished) == len(classes) and (q or not live)):

@@ -19,13 +19,14 @@ Dinic's max-flow finds the plan, run on the rows and colors themselves
 rather than on an arc graph: its first phase is a greedy pass over the rows,
 and later phases reroute flow through the rows that already send a color
 copies. The problem is read straight off the live rows (classes with amalgam
-slots): each row is its class's ascending colors and nonzero counts, two
-parallel lists, so a step touches no cell a class does not hold.
+slots): each row is its class's ascending colors and nonzero counts, so a
+step touches no cell a class does not hold. The plan is sparse the same way,
+one ``{color: moved}`` map per row, like the classes' own maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from itertools import filterfalse
 
 from .combinatorics import binom
 from .errors import InfeasibleTransport, InternalInvariantViolation
@@ -53,13 +54,13 @@ class TransportationProblem:
 
 @dataclass
 class DetachPlan:
-    """Integral donation plan, parallel to the problem's cells.
+    """Integral donation plan, one sparse map per row of the problem.
 
-    ``moves[c][t]`` copies of ``tp.rows[c]`` in color ``tp.colors[c][t]`` go
-    to the new vertex; ``moves[c]`` has one entry per entry of ``tp.caps[c]``.
+    ``moves[c][j]`` copies of ``tp.rows[c]`` in 0-based color j go to the new
+    vertex; ``moves[c]`` lists only the colors that move, ascending.
     """
 
-    moves: list[list[int]]
+    moves: list[dict[int, int]]
 
 
 def build_transportation(state: AmalgamState) -> TransportationProblem:
@@ -192,6 +193,8 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     the sink or else the rows sending it flow, by row), so every push is the
     generic Dinic's. InfeasibleTransport names the first row left short, and so
     does the InternalInvariantViolation of a later phase that pushes no unit.
+    The plan is read off ``holders``, which end holding exactly the moved
+    cells: colors in ascending order, and a row holds one cell per color.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
     moves = [[0] * len(row_caps) for row_caps in tp.caps]
@@ -217,21 +220,25 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
             raise InternalInvariantViolation(f"a flow phase pushed nothing; {where}")
         want = sum(tp.supplies)
         raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; {where}")
-    return DetachPlan(moves=moves)
+    plan: list[dict[int, int]] = [{} for _ in moves]
+    for j, cells in enumerate(holders):
+        for r, t in cells:
+            plan[r][j] = moves[r][t]
+    return DetachPlan(moves=plan)
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     """Split one vertex off the amalgam, preserving all invariants.
 
     The new vertex takes id m + detached + 1. For every row c = (X, i) and
-    cell t, moves[c][t] copies of color colors[c][t] become (X + {new}, i - 1)
+    color j of its map, moves[c][j] copies of color j become (X + {new}, i - 1)
     copies of the same color. One walk applies the plan, each row writing its
-    own target (``AmalgamState``'s write-once rule). The walk checks a row's
-    length and each cell's 0 <= move <= cap before it is written, visiting
-    only nonzero moves: a zero one passes and writes nothing. A failed check
-    leaves the state partly applied; discard it. The hook sees the plan before
-    the walk; ``state.check`` then checks the step, from its moves unless a
-    hook ran, as its docstring says.
+    own target (``AmalgamState``'s write-once rule). The walk visits only the
+    moved cells and checks each 0 < move <= cap, the cap read off the class's
+    own map, before it is written. A failed check leaves the state partly
+    applied; discard it. The hook sees the plan before the walk;
+    ``state.check`` then checks the step, from its moves unless a hook ran,
+    as its docstring says.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -239,18 +246,16 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
         hook(state, tp, plan)
 
     new_vertex = state.params.m + state.detached + 1
-    for key, row_colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
-        if len(moves) != len(caps):
-            raise InternalInvariantViolation(
-                f"row {key} has {len(moves)} moves for {len(caps)} cells")
+    for key, moves in zip(tp.rows, plan.moves):
         colors = state.classes[key].colors
         # the new vertex outnumbers every vertex of the support: no other row shares this target
         target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
-        for j, cap, moved in compress(zip(row_colors, caps, moves), moves):
-            if not 0 <= moved <= cap:
+        for j, moved in moves.items():
+            cap = colors.get(j, 0)
+            if not 0 < moved <= cap:
                 raise InternalInvariantViolation(
                     f"row {key} moves {moved} copies of color {j + 1}, cap {cap}")
-            left = colors[j] - moved
+            left = cap - moved
             if left:
                 colors[j] = left
             else:

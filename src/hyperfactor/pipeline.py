@@ -29,7 +29,7 @@ def extend_instance(inst: Instance, seed: int | None = None,
     JSON-ready record per level and per detachment step, each stamped with
     ``t_ms``, the milliseconds since the call began; ``hook(state, tp, plan)``
     sees each step's plan as solved, before the walk that checks and applies
-    it (per row, parallel ``tp.colors``, ``tp.caps`` and ``plan.moves`` lists).
+    it (per row c, ``plan.moves[c]`` maps each color that moves to its copies).
     Above the bound the level stage cannot get stuck, so a GreedyStuck or
     NegativeTopLevelQuota there is a bug, raised as InternalInvariantViolation.
     """

@@ -8,7 +8,7 @@ not shared state.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import eq, itemgetter, lt
 
 from .combinatorics import binom
@@ -25,20 +25,21 @@ def verify_certificate(cert: Certificate, inst: Instance) -> Report:
     (c) regularity: every vertex of [1, n] has degree exactly r_j in every
         color class j.
     Failures are reported with their first counterexamples rather than
-    raised. A malformed class (say, an unsorted support) is reported once and
-    enters no other check. Each check decides in bulk, and walks only to name
+    raised: the first MAX_FAILURES in that order, and it looks no further. A
+    malformed class (say, an unsorted support) is reported once and enters
+    no other check. Each check decides in bulk, and walks only to name
     failures: a passing certificate costs one pass over its classes.
     """
+    failures = islice(_certificate_failures(cert, inst), MAX_FAILURES)
+    return Report([{"kind": kind, "detail": detail} for kind, detail in failures])
+
+
+def _certificate_failures(cert: Certificate, inst: Instance):
+    """Yield ``verify_certificate``'s (kind, detail) pairs in order, each found when asked for."""
     p = cert.params
-    failures: list[dict] = []
-
-    def fail(kind: str, detail: str) -> None:
-        if len(failures) < MAX_FAILURES:
-            failures.append({"kind": kind, "detail": detail})
-
     if p != inst.params:
-        fail("extension", "certificate and instance parameters differ")
-        return Report(failures)
+        yield "extension", "certificate and instance parameters differ"
+        return
 
     shape = (p.h, frozenset(range(1, p.n + 1)), frozenset(range(p.k)))
     fine = (repeat(True) if _well_formed(cert.coloring, *shape)   # else name the bad classes
@@ -50,7 +51,7 @@ def verify_certificate(cert: Certificate, inst: Instance) -> Report:
     for cls, ok in zip(cert.coloring, fine):
         support, colors = cls.support, cls.colors
         if not ok:
-            fail("completeness", f"malformed class {support} (amalgam={cls.amalgam})")
+            yield "completeness", f"malformed class {support} (amalgam={cls.amalgam})"
             continue
         totals[support] = totals.get(support, 0) + sum(colors.values())
         if support[-1] <= p.m:
@@ -64,26 +65,22 @@ def verify_certificate(cert: Certificate, inst: Instance) -> Report:
         for support in sorted(set(given) | set(restricted)):
             want, got = given.get(support, {}), restricted.get(support, {})
             if want != got:
-                fail("extension",
-                     f"{set(support)}: instance colors {want}, certificate colors {got}")
+                yield "extension", (f"{set(support)}: instance colors {want}, "
+                                    f"certificate colors {got}")
 
     # Every key of totals is a well-formed h-subset of [1, n], so C(n, h) keys are all of them.
     if len(totals) != binom(p.n, p.h) or not all(map(eq, totals.values(), repeat(p.lam))):
         for subset in combinations(range(1, p.n + 1), p.h):
             got = totals.get(subset, 0)
             if got != p.lam:
-                fail("completeness",
-                     f"{set(subset)} has multiplicity {got}, expected {p.lam}")
+                yield "completeness", f"{set(subset)} has multiplicity {got}, expected {p.lam}"
 
     r = list(p.r)
     for v, row in degrees.items():
         if row != r:
-            for j, d in enumerate(row):
-                if d != r[j]:
-                    fail("regularity",
-                         f"vertex {v} has degree {d} in color {j + 1}, expected {r[j]}")
-
-    return Report(failures)
+            for j, (d, rj) in enumerate(zip(row, r), start=1):
+                if d != rj:
+                    yield "regularity", f"vertex {v} has degree {d} in color {j}, expected {rj}"
 
 
 def _well_formed(classes, h: int, vertices: frozenset, colors: frozenset) -> bool:

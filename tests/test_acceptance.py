@@ -173,22 +173,26 @@ class InstrumentedChecks:
             for j, cnt in cls.colors.items():
                 weight[j] += level * cnt
         ok &= all(weight[j] == p.r[j] * q for j in range(p.k))
-        # Each row lists its held colors, ascending, with parallel caps and
-        # moves; a color it does not hold has cap 0 and moves nothing.
+        # Each row lists its held colors, ascending, with parallel caps; its
+        # plan row maps each color that moves, ascending, to a nonzero count.
+        # A color it does not hold has cap 0 and moves nothing.
         col_sums = [Fraction(0)] * p.k
         move_sums = [0] * p.k
+        ok &= len(plan.moves) == len(tp.rows)
         for c, key in enumerate(tp.rows):
             level = key[1]
             colors, caps, moves = tp.colors[c], tp.caps[c], plan.moves[c]
             ok &= colors == sorted(set(colors)) and all(0 <= j < p.k for j in colors)
-            ok &= len(caps) == len(colors) and len(moves) == len(caps)
+            ok &= len(caps) == len(colors) and list(moves) == sorted(moves)
             witness_row = [Fraction(cap * level, state.weight) for cap in caps]
             ok &= sum(witness_row) == tp.supplies[c]
             ok &= all(x <= cap for x, cap in zip(witness_row, caps))
-            ok &= sum(moves) == tp.supplies[c]
-            ok &= all(0 <= moved <= cap for moved, cap in zip(moves, caps))
-            for j, x, moved in zip(colors, witness_row, moves):
+            ok &= sum(moves.values()) == tp.supplies[c]
+            held = dict(zip(colors, caps))
+            ok &= all(0 < moved <= held.get(j, 0) for j, moved in moves.items())
+            for j, x in zip(colors, witness_row):
                 col_sums[j] += x
+            for j, moved in moves.items():
                 move_sums[j] += moved
         ok &= all(col_sums[j] == tp.demands[j] for j in range(p.k))
         ok &= all(move_sums[j] == tp.demands[j] for j in range(p.k))

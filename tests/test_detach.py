@@ -55,7 +55,7 @@ def vertex_degrees(state, v):
 
 
 def enumerate_integral_plans(tp: TransportationProblem):
-    """All integral plans, parallel to ``tp.caps``, meeting row sums, column sums and caps."""
+    """All integral plans meeting row sums, column sums and caps, as plans' sparse row maps."""
     k = len(tp.demands)
     solutions = []
     row_choices = []
@@ -68,8 +68,14 @@ def enumerate_integral_plans(tp: TransportationProblem):
             for j, moved in zip(colors, row):
                 col_sums[j] += moved
         if col_sums == tp.demands:
-            solutions.append(tuple(rows))
+            solutions.append(as_maps(tp, rows))
     return solutions
+
+
+def as_maps(tp: TransportationProblem, moves) -> list[dict[int, int]]:
+    """Rows of moves parallel to ``tp.colors`` as ``{color: moved}`` maps of the nonzero cells."""
+    return [{j: moved for j, moved in zip(colors, row) if moved}
+            for colors, row in zip(tp.colors, moves, strict=True)]
 
 
 def reference_moves(tp: TransportationProblem):
@@ -229,7 +235,7 @@ class TestSolveTransportation:
         tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2],
                                    colors=[[0]], caps=[[2]])
         plan = solve_transportation(tp)
-        assert plan.moves == [[2]]
+        assert plan.moves == [{0: 2}]
 
     def test_worked_example_plan_is_a_valid_solution(self, worked_instance):
         state = ready_state(worked_instance)
@@ -238,8 +244,8 @@ class TestSolveTransportation:
         # exactly the two symmetric solutions exist
         assert len(solutions) == 2
         plan = solve_transportation(tp)
-        assert tuple(tuple(row) for row in plan.moves) in solutions
-        assert tp.colors[0] == [0] and plan.moves[0] == [1]   # the all-new class donates color 1
+        assert plan.moves in solutions
+        assert tp.colors[0] == [0] and plan.moves[0] == {0: 1}   # the all-new class donates color 1
 
     def test_capacity_cut_infeasible(self):
         tp = TransportationProblem(rows=[((), 1)], supplies=[1], demands=[1],
@@ -254,7 +260,7 @@ class TestSolveTransportation:
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
                                    supplies=[2, 1, 1], demands=[2, 1, 1],
                                    colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
-        assert solve_transportation(tp).moves == [[0, 1, 1], [1, 0], [1]]
+        assert solve_transportation(tp).moves == [{1: 1, 2: 1}, {0: 1}, {0: 1}]
 
     def test_infeasible_names_the_short_row(self):
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1)], supplies=[1, 1], demands=[1, 1],
@@ -290,9 +296,11 @@ class TestSolveTransportation:
             tp = random_problem(rng)
             want = reference_moves(tp)
             try:
-                got = solve_transportation(tp).moves
+                got = [list(row.items()) for row in solve_transportation(tp).moves]
             except InfeasibleTransport:
                 got = None
+            if want is not None:   # the nonzero cells, colors ascending
+                want = [list(row.items()) for row in as_maps(tp, want)]
             assert got == want, tp
             infeasible += want is None
         assert 0 < infeasible < 2000   # both outcomes are exercised
@@ -348,13 +356,16 @@ class TestDetachStep:
             assert vertex_degrees(state, 3 + step) == [2, 2, 1, 1, 1]
 
 
+SPARSE_CELLS = pytest.mark.parametrize("params", [
+    Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1)),
+    Parameters(n=9, m=3, h=3, lam=2, r=(2,) * 20 + (1,) * 16),
+], ids=["h2", "h3"])
+
+
 class TestSparseState:
     """The state stores each class's colors as a dict with no zero counts."""
 
-    @pytest.mark.parametrize("params", [
-        Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1)),
-        Parameters(n=9, m=3, h=3, lam=2, r=(2,) * 20 + (1,) * 16),
-    ], ids=["h2", "h3"])
+    @SPARSE_CELLS
     def test_counts_stay_positive_and_exact(self, params):
         def check(state, tp=None, plan=None):
             q = state.weight
@@ -364,14 +375,21 @@ class TestSparseState:
                 assert cls.total() == params.lam * binom(q, level), (support, level)
             if tp is None:
                 return
-            # The problem is read straight off the live classes' nonzero counts.
+            # The problem is read straight off the live classes' nonzero counts,
+            # and the plan's rows are nonzero maps within those counts.
             assert tp.rows == sorted(key for key in state.classes if key[1] >= 1)
-            for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves,
-                                                strict=True):
+            columns = [0] * params.k
+            for key, colors, caps, moves, supply in zip(tp.rows, tp.colors, tp.caps, plan.moves,
+                                                        tp.supplies, strict=True):
                 assert all(a < b for a, b in zip(colors, colors[1:])), (key, colors)
                 assert dict(zip(colors, caps)) == state.classes[key].colors, key
                 assert all(cap > 0 for cap in caps), (key, caps)
-                assert len(moves) == len(caps), key
+                held = dict(zip(colors, caps))
+                assert all(0 < moved <= held.get(j, 0) for j, moved in moves.items()), key
+                assert sum(moves.values()) == supply, key
+                for j, moved in moves.items():
+                    columns[j] += moved
+            assert columns == tp.demands
 
         state = ready_state(random_instance(params, seed=3), seed=3)
         while state.weight > 0:
@@ -379,21 +397,40 @@ class TestSparseState:
             check(state)
         assert state.detached == params.n - params.m
 
+    @SPARSE_CELLS
+    def test_plan_rows_are_ascending_nonzero_maps(self, params):
+        steps = []
+
+        def shape(state, tp, plan):
+            steps.append(len(plan.moves))
+            for key, colors, moves in zip(tp.rows, tp.colors, plan.moves, strict=True):
+                assert list(moves) == sorted(moves) and set(moves) <= set(colors), (key, moves)
+                assert all(moved >= 1 for moved in moves.values()), (key, moves)
+
+        detach_all(ready_state(random_instance(params, seed=3), seed=3), hook=shape)
+        assert len(steps) == params.n - params.m and all(steps)
+
 
 class TestStepChecks:
     """Every step validates the plan it is given and recounts every class."""
 
-    # The worked example's first step has colors [[0], [1, 2], [1, 2]], caps
-    # [[1], [1, 1], [1, 1]], and unit supplies and demands.
+    # The worked example's first step has rows ((), 2), ((1,), 1) and ((2,), 1)
+    # holding colors {0}, {1, 2} and {1, 2} once each, and unit supplies and demands.
     # A wrong row sum breaks its target's total; a wrong column sum, a color's weight.
     @pytest.mark.parametrize("moves, message", [
-        ([[1], [2, -1], [-1, 2]], "cap"),             # sums kept, caps broken
-        ([[1], [1, 1], [0, 0]], r"^class \(\(1, 3\), 0\) holds 2 copies, expected 1$"),
-        ([[1], [1, 0], [1, 0]], r"^color 2: live classes weigh 0, expected 1$"),
-        ([[1], [1], [0, 1]], "1 moves for 2 cells"),  # a row not parallel to its caps
-        ([[1], [1, 1], [0, -1]], r"moves -1 copies of color 3, cap 1"),  # a lone negative move
-    ], ids=["moves0-cap", "moves1-supply", "moves2-column 2 sum 2", "moves3-1 moves for 2 cells",
-            "moves4-moves -1 copies of color 3, cap 1"])
+        ([{0: 1}, {1: 2, 2: -1}, {1: -1, 2: 2}], "cap"),   # sums kept, caps broken
+        ([{0: 1}, {1: 1, 2: 1}, {}], r"^class \(\(1, 3\), 0\) holds 2 copies, expected 1$"),
+        ([{0: 1}, {1: 1}, {1: 1}], r"^color 2: live classes weigh 0, expected 1$"),
+        ([{0: 1}, {1: 1, 2: 1}, {2: -1}], r"moves -1 copies of color 3, cap 1"),
+        ([{0: 1}, {1: 1}, {1: 0, 2: 1}],   # a zero entry
+         r"^row \(\(2,\), 1\) moves 0 copies of color 2, cap 1$"),
+        ([{0: 1}, {0: 1}, {1: 1}],         # a color the row does not hold
+         r"^row \(\(1,\), 1\) moves 1 copies of color 1, cap 0$"),
+        ([{0: 1}, {2: -1}, {1: 1, 2: 1}],  # a lone negative move, the row's only entry
+         r"^row \(\(1,\), 1\) moves -1 copies of color 3, cap 1$"),
+    ], ids=["moves0-cap", "moves1-supply", "moves2-column 2 sum 2",
+            "moves4-moves -1 copies of color 3, cap 1", "zero entry", "color not held",
+            "lone negative"])
     def test_bad_plan_is_rejected(self, worked_instance, monkeypatch, moves, message):
         from hyperfactor import detach
         monkeypatch.setattr(detach, "solve_transportation",
@@ -435,11 +472,11 @@ class TestStepChecks:
         # class: every class total holds, only the color weights change.
         def shift_copy(state, tp, plan):
             for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
-                for t, (cap, moved) in enumerate(zip(caps, moves)):
-                    if cap > moved and len(colors) > 1:
+                for t, (j, cap) in enumerate(zip(colors, caps)):
+                    if cap > moves.get(j, 0) and len(colors) > 1:
                         counts = state.classes[key].colors
                         other = colors[t - 1]
-                        counts[colors[t]] -= 1
+                        counts[j] -= 1
                         counts[other] += 1
                         return
 
@@ -506,8 +543,8 @@ class TestFastCheck:
     # After the worked example's first step the state is sound, so a plan with
     # a wrong sum passes the recount and is named by its row or color.
     @pytest.mark.parametrize("moves, message", [
-        ([[1], [1, 1], [0, 0]], r"^row \(\(1,\), 1\) gives 2 copies, expected 1$"),
-        ([[1], [1, 0], [1, 0]], r"^color 2: moves total 2, expected 1$"),
+        ([{0: 1}, {1: 1, 2: 1}, {}], r"^row \(\(1,\), 1\) gives 2 copies, expected 1$"),
+        ([{0: 1}, {1: 1}, {1: 1}], r"^color 2: moves total 2, expected 1$"),
     ], ids=["row", "color"])
     def test_plan_sums_named_when_the_recount_holds(self, worked_instance, moves, message):
         state = ready_state(worked_instance)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import binom, bound_holds
 from hyperfactor import cli, pipeline
@@ -163,6 +164,51 @@ class TestRandomDegreeVectors:
                         assert verify_certificate(cert, inst).ok, (n, m, h, r, seed)
                         runs += 1
         assert runs == 45
+
+
+def theorem_cells() -> list[tuple[int, int, int, int]]:
+    """(h, m, n, lambda): h 2-4, m h..h+3, lambda 1-2, n the first 4 values above the bound.
+
+    Only cells with C(n, h) <= 3 060 are kept: the smallest h = 4 cell above
+    the bound (n = 18, m = 4) has exactly that many subsets.
+    """
+    cells = []
+    for h in (2, 3, 4):
+        for m in range(h, h + 4):
+            first = next(n for n in range(m + 1, 10 * m) if bound_holds(n, m, h))
+            cells += [(h, m, n, lam) for n in range(first, first + 4) for lam in (1, 2)
+                      if binom(n, h) <= 3060]
+    return cells
+
+
+def check_plan_rows(state, tp, plan) -> None:
+    """A ``detach_step`` hook: each plan row is an ascending nonzero map within its caps."""
+    assert len(plan.moves) == len(tp.rows)
+    for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
+        held = dict(zip(colors, caps))
+        assert list(moves) == sorted(moves), (key, moves)
+        assert all(0 < moved <= held.get(j, 0) for j, moved in moves.items()), (key, moves)
+
+
+class TestTheorem:
+    """Above the bound every admissible instance extends (the paper's theorem)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cell=st.sampled_from(theorem_cells()), r_seed=st.integers(0, 2**32),
+           seed=st.integers(0, 999), greedy=st.booleans())
+    def test_any_admissible_r_extends_and_verifies(self, cell, r_seed, seed, greedy):
+        h, m, n, lam = cell
+        params = Parameters(n=n, m=m, h=h, lam=lam,
+                            r=random_admissible_r(n, h, lam, random.Random(r_seed)))
+        inst = random_instance(params, seed=seed)
+        greedy_seed = seed if greedy else None
+        cert = extend_instance(inst, seed=greedy_seed, hook=check_plan_rows)
+        assert verify_certificate(cert, inst).ok, (params, seed)
+        again = extend_instance(inst, seed=greedy_seed)
+        assert serialize_certificate(again) == serialize_certificate(cert), (params, seed)
+
+    def test_cells_span_h_2_to_4(self):
+        assert {h for h, *_ in theorem_cells()} == {2, 3, 4}
 
 
 class TestSingleEdgeInstance:

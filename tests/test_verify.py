@@ -252,6 +252,21 @@ class TestBulkVerdicts:
                                       worked_instance)
         assert len(report["failures"]) == MAX_FAILURES   # 25 failures, capped
 
+    def test_empty_certificate_reports_its_first_failures(self):
+        # h2_dense's parameters: 780 input subsets, 12 720 missing subsets and
+        # 25 440 wrong degrees, of which the report names the first 20.
+        params = Parameters(n=160, m=40, h=2, lam=1, r=(1,) * 159)
+        inst = random_instance(params, seed=1)
+        report = self.same_report(Certificate(params=params, coloring=[]), inst)
+        assert report["pass"] is False and len(report["failures"]) == MAX_FAILURES
+        assert report["failures"][0] == {
+            "kind": "extension", "detail": "{1, 2}: instance colors {133: 1}, certificate colors {}"}
+        given = _summed_colors(inst.coloring)
+        assert report["failures"] == [
+            {"kind": "extension",
+             "detail": f"{ {1, v} }: instance colors {given[(1, v)]}, certificate colors {{}}"}
+            for v in range(2, 2 + MAX_FAILURES)]
+
 
 class TestBruteForceExtend:
     def test_finds_k4_one_factorization(self, worked_instance):
