@@ -14,7 +14,6 @@ from .errors import (
     GreedyStuck,
     HyperfactorError,
     InadmissibleParameters,
-    InfeasibleTransport,
     InternalInvariantViolation,
     InvalidInstance,
     NegativeTopLevelQuota,
@@ -48,7 +47,7 @@ __all__ = [
     "verify_certificate",
     "HyperfactorError", "SchemaError", "InadmissibleParameters", "InvalidInstance",
     "GreedyStuck", "NegativeTopLevelQuota",
-    "InfeasibleTransport", "InternalInvariantViolation", "GenerationFailed",
+    "InternalInvariantViolation", "GenerationFailed",
     "TooLarge", "BelowBound", "BadArgument",
     "__version__",
 ]

@@ -18,10 +18,13 @@ a flow saturates them, and with integral capacities an integral one does too.
 Dinic's max-flow finds the plan, run on the rows and colors themselves
 rather than on an arc graph: its first phase is a greedy pass over the rows,
 and later phases reroute flow through the rows that already send a color
-copies. The problem is read straight off the live rows (classes with amalgam
-slots): each row is its class's ascending colors and nonzero counts, so a
-step touches no cell a class does not hold. The plan is sparse the same way,
-one ``{color: moved}`` map per row, like the classes' own maps.
+copies. The rows are the live classes (those with amalgam slots) and each
+row is its class's own ``{color: count}`` map, read in place: the solver
+never writes it and copies no cell of it, so a step touches only the cells
+a class holds. The maps stay the problem's rows until the step's walk
+applies the plan. The plan is sparse the same way, one ``{color: moved}``
+map per row, sorted once when the solver is done. By the witness above a
+transport that falls short is a bug, so it raises InternalInvariantViolation.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 
 from .combinatorics import binom
-from .errors import InfeasibleTransport, InternalInvariantViolation
+from .errors import InternalInvariantViolation
 from .model import Certificate
 from .amalgam import AmalgamState, ClassKey
 
@@ -40,16 +43,22 @@ class TransportationProblem:
 
     ``rows[c]`` is a class key with amalgam multiplicity >= 1, ``supplies[c]``
     its forced donation count and ``demands[j-1]`` the new vertex's target
-    degree r_j. ``colors[c]`` lists, ascending, the 0-based colors the class
-    holds, and ``caps[c]`` the copies of each, all nonzero; a color not in
-    ``colors[c]`` has cap 0. Row supplies and column demands have equal totals.
+    degree r_j. ``held[c]`` is that class's own ``EdgeClass.colors`` map, the
+    same object: its 0-based colors ascending, each with its nonzero cap; a
+    color it lacks has cap 0. The solver reads the maps and never writes
+    them; they are the rows until the step's walk applies the plan. Row
+    supplies and column demands have equal totals.
     """
 
     rows: list[ClassKey]
     supplies: list[int]
     demands: list[int]
-    colors: list[list[int]]
-    caps: list[list[int]]
+    held: list[dict[int, int]]
+
+    @property
+    def caps(self) -> list:
+        """Each row's caps, ascending by color: read-only views of ``held``."""
+        return list(map(dict.values, self.held))
 
 
 @dataclass
@@ -68,11 +77,10 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
 
     Requires a state that passed ``AmalgamState.check`` (``assign_level_h``
     and each ``detach_step`` end with it), the witness of the module
-    docstring, so only the call order is checked here; rows read maps as
-    they stand.
+    docstring, so only the call order is checked here; the rows are the live
+    maps as they stand.
     """
-    p = state.params
-    q = state.weight
+    p, q = state.params, state.weight
     if q < 1:
         raise InternalInvariantViolation("no amalgam weight left to detach")
     if state.level_done != p.h:
@@ -81,35 +89,37 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     donation = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     rows = sorted(state.live)
     supplies = [donation[key[1]] for key in rows]
-    held = [state.classes[key].colors for key in rows]
     return TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r),
-                                 colors=list(map(list, held)),
-                                 caps=list(map(list, map(dict.values, held))))
+                                 held=[state.classes[key].colors for key in rows])
 
 
-def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: list[int],
-                 col_left: list[int], holders: list[set[tuple[int, int]]]) -> bool:
+def _later_phase(tp: TransportationProblem, moves: list[dict[int, int]], row_left: list[int],
+                 col_left: list[int], holders: list[set[int]]) -> bool:
     """Push one Dinic blocking flow; False if the sink is out of reach.
 
     Rows are nodes 0..R-1 and colors R..R+k-1; the source and the sink are
-    implicit. ``holders[j]`` holds the (row, index) cells that send color j
-    flow: its residual arcs back to rows. A row resumes its scan where it
-    stopped: a cell that leads a level up only gains flow in the phase, so
-    the scan passes over just what a per-node arc list would have popped.
-    A level's scan stops once every color is labelled. The BFS stops at the
-    first color level that holds demand and unlabels that level's colors with
-    none: no row sits past the sink. So a labelled color has demand only at
-    the sink's level; it pushes to the sink, any other reroutes through its holders.
+    implicit. ``holders[j]`` holds the rows that send color j flow: its
+    residual arcs back to rows. A row's arcs are its ``held`` items, read
+    through an iterator over the map that the DFS starts the first time it
+    enters the row in the phase. The row keeps its current arc and resumes
+    the scan past it: a cell that leads a level up only gains flow in the
+    phase, so the scan passes over just what a per-node arc list would have
+    popped. A level's scan stops once every color is labelled. The BFS stops
+    at the first color level that holds demand and unlabels that level's
+    colors with none: no row sits past the sink. So a labelled color has
+    demand only at the sink's level; it pushes to the sink, any other
+    reroutes through its holders.
     """
-    colors, caps, num_rows = tp.colors, tp.caps, len(row_left)
+    held, num_rows = tp.held, len(row_left)
     level = [1 if left else -1 for left in row_left] + [-1] * len(col_left)
     frontier = [r for r, left in enumerate(row_left) if left]
     depth, unlabelled = 1, len(col_left)
     while True:   # the BFS, a level at a time; rows at the sink's level would be dead ends
         reached = []
         for r in frontier:
-            for j, cap, moved in zip(colors[r], caps[r], moves[r]):
-                if moved < cap and level[num_rows + j] < 0:
+            row_moves = moves[r]
+            for j, cap in held[r].items():
+                if level[num_rows + j] < 0 and row_moves.get(j, 0) < cap:
                     level[num_rows + j] = depth + 1
                     reached.append(j)
             if len(reached) == unlabelled:   # later rows have no color left to label
@@ -117,7 +127,7 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
         depth, unlabelled = depth + 2, unlabelled - len(reached)
         if not reached or any(map(col_left.__getitem__, reached)):
             break
-        frontier = list(dict.fromkeys(r for j in reached for r, _ in holders[j] if level[r] < 0))
+        frontier = list(dict.fromkeys(r for j in reached for r in holders[j] if level[r] < 0))
         for r in frontier:
             level[r] = depth
     if not reached:
@@ -125,55 +135,62 @@ def _later_phase(tp: TransportationProblem, moves: list[list[int]], row_left: li
     for j in filterfalse(col_left.__getitem__, reached):
         level[num_rows + j] = -1
 
-    next_cell = [0] * num_rows
+    # a row's current (color, cap) arc, and an iterator over its held items past that arc
+    current, scans = [None] * num_rows, [None] * num_rows
     untried: list[list | None] = [None] * len(col_left)
-    path: list[tuple[int, int]] = []   # cells: forward at even positions, backward at odd
+    path: list[tuple[int, int]] = []   # (row, color): forward at even positions, backward at odd
     for first in range(num_rows):      # the source's arcs; it keeps one until it is shut
         u = first
         while row_left[first] and level[first] == 1:
             if u < num_rows:
-                row_colors, row_caps, row_moves = colors[u], caps[u], moves[u]
-                t, up, cells = next_cell[u], level[u] + 1, len(row_caps)
-                while t < cells and not (row_moves[t] < row_caps[t]
-                                         and level[num_rows + row_colors[t]] == up):
-                    t += 1
-                next_cell[u] = t
-                if t < cells:
+                row_moves, up, arc = moves[u], level[u] + 1, current[u]
+                if arc is None or not (level[num_rows + arc[0]] == up
+                                       and row_moves.get(arc[0], 0) < arc[1]):
+                    if arc is None:   # the row's first entry in the phase
+                        scans[u] = iter(held[u].items())
+                    for arc in scans[u]:
+                        if level[num_rows + arc[0]] == up and row_moves.get(arc[0], 0) < arc[1]:
+                            break
+                    else:
+                        arc = None
+                    current[u] = arc
+                if arc is not None:
                     if len(path) >= 2 * num_rows:   # a level-graph path holds each row once
                         raise InternalInvariantViolation(
                             f"a flow path outgrew {num_rows} rows at row {tp.rows[u]}")
-                    path.append((u, t))
-                    u = num_rows + row_colors[t]
+                    path.append((u, arc[0]))
+                    u = num_rows + arc[0]
                 else:
                     level[u] = -1   # a dead end stays one for the rest of the phase
-                    u = num_rows + colors[path[-1][0]][path.pop()[1]] if path else u
+                    u = num_rows + path.pop()[1] if path else u
                 continue
             j = u - num_rows
             if col_left[j]:   # only a sink-level color has demand left
                 pushed = min(row_left[first], col_left[j],
-                             *[caps[r][t] - moves[r][t] for r, t in path[0::2]],
-                             *[moves[r][t] for r, t in path[1::2]])
+                             *[held[r][c] - moves[r].get(c, 0) for r, c in path[0::2]],
+                             *[moves[r][c] for r, c in path[1::2]])
                 row_left[first] -= pushed
                 col_left[j] -= pushed
-                for r, t in path[0::2]:
-                    moves[r][t] += pushed
-                    holders[colors[r][t]].add((r, t))
-                for r, t in path[1::2]:
-                    moves[r][t] -= pushed
-                    if not moves[r][t]:
-                        holders[colors[r][t]].remove((r, t))
+                for r, c in path[0::2]:
+                    moves[r][c] = moves[r].get(c, 0) + pushed
+                    holders[c].add(r)
+                for r, c in path[1::2]:
+                    moves[r][c] -= pushed
+                    if not moves[r][c]:
+                        del moves[r][c]
+                        holders[c].remove(r)
                 path.clear()
                 u = first
                 continue
             arcs = untried[j]
             if arcs is None:   # the rows sending j flow, by row
                 arcs = untried[j] = sorted(
-                    (cell for cell in holders[j] if level[cell[0]] == level[u] + 1), reverse=True)
-            while arcs and not (moves[arcs[-1][0]][arcs[-1][1]] and level[arcs[-1][0]] >= 0):
+                    (r for r in holders[j] if level[r] == level[u] + 1), reverse=True)
+            while arcs and not (j in moves[arcs[-1]] and level[arcs[-1]] >= 0):
                 arcs.pop()
             if arcs:
-                path.append(arcs[-1])
-                u = arcs[-1][0]
+                path.append((arcs[-1], j))
+                u = arcs[-1]
             else:
                 level[u] = -1
                 u = path.pop()[0]
@@ -185,29 +202,29 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
 
     Dinic's max-flow on source -> rows -> colors -> sink, arcs in row order
     and each row's colors ascending, with residuals kept as supply left per
-    row, demand left per color and the moves. The first phase has no flow to
+    row, demand left per color and one ``{color: moved}`` map per row, a cell
+    deleted once its move is back to zero. The first phase has no flow to
     reroute, so rows sit at level 1, colors at 2, the sink at 3, and its DFS,
     taking the first open arc each time, fills each row's cells in order:
     that greedy is the phase. A later phase labels the same levels and tries
     the same arcs in the same order (at a row its colors ascending, at a color
     the sink or else the rows sending it flow, by row), so every push is the
-    generic Dinic's. InfeasibleTransport names the first row left short, and so
-    does the InternalInvariantViolation of a later phase that pushes no unit.
-    The plan is read off ``holders``, which end holding exactly the moved
-    cells: colors in ascending order, and a row holds one cell per color.
+    generic Dinic's. A row left short raises InternalInvariantViolation naming
+    it, as does a later phase that pushes no unit. The rows read ``tp.held``
+    in place; the plan is each row's map of moves, sorted once by color.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
-    moves = [[0] * len(row_caps) for row_caps in tp.caps]
-    holders: list[set[tuple[int, int]]] = [set() for _ in col_left]
-    for r, (row_colors, row_caps, row_moves) in enumerate(zip(tp.colors, tp.caps, moves)):
+    moves: list[dict[int, int]] = [{} for _ in tp.held]
+    holders: list[set[int]] = [set() for _ in col_left]
+    for r, (held, row_moves) in enumerate(zip(tp.held, moves)):
         left = row_left[r]
-        for t, j in enumerate(row_colors):
+        for j, cap in held.items():
             if not left:
                 break
             if col_left[j]:
-                pushed = row_moves[t] = min(left, row_caps[t], col_left[j])
+                pushed = row_moves[j] = min(left, cap, col_left[j])
                 col_left[j] -= pushed
-                holders[j].add((r, t))
+                holders[j].add(r)
                 left -= pushed
         row_left[r] = left
     unplaced, stalled = sum(row_left), False
@@ -215,16 +232,12 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
         stalled, unplaced = sum(row_left) == unplaced, sum(row_left)
     short = next((r for r, left in enumerate(row_left) if left), None)
     if short is not None:
-        where = f"row {tp.rows[short]} short by {row_left[short]}"
-        if stalled:
-            raise InternalInvariantViolation(f"a flow phase pushed nothing; {where}")
         want = sum(tp.supplies)
-        raise InfeasibleTransport(f"max flow {want - sum(row_left)} < required {want}; {where}")
-    plan: list[dict[int, int]] = [{} for _ in moves]
-    for j, cells in enumerate(holders):
-        for r, t in cells:
-            plan[r][j] = moves[r][t]
-    return DetachPlan(moves=plan)
+        what = ("a flow phase pushed nothing" if stalled
+                else f"max flow {want - unplaced} < required {want}")
+        raise InternalInvariantViolation(
+            f"{what}; row {tp.rows[short]} short by {row_left[short]}")
+    return DetachPlan(moves=[dict(sorted(row.items())) for row in moves])
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
@@ -234,11 +247,11 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     color j of its map, moves[c][j] copies of color j become (X + {new}, i - 1)
     copies of the same color. One walk applies the plan, each row writing its
     own target (``AmalgamState``'s write-once rule). The walk visits only the
-    moved cells and checks each 0 < move <= cap, the cap read off the class's
-    own map, before it is written. A failed check leaves the state partly
-    applied; discard it. The hook sees the plan before the walk;
-    ``state.check`` then checks the step, from its moves unless a hook ran,
-    as its docstring says.
+    moved cells and checks each 0 < move <= cap, the cap read off the row's
+    map in ``tp.held`` (the class's own), before it is written. A failed
+    check leaves the state partly applied; discard it. The hook sees the plan
+    before the walk; ``state.check`` then checks the step, from its moves
+    unless a hook ran, as its docstring says.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
@@ -246,8 +259,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
         hook(state, tp, plan)
 
     new_vertex = state.params.m + state.detached + 1
-    for key, moves in zip(tp.rows, plan.moves):
-        colors = state.classes[key].colors
+    for key, colors, moves in zip(tp.rows, tp.held, plan.moves):
         # the new vertex outnumbers every vertex of the support: no other row shares this target
         target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
         for j, moved in moves.items():

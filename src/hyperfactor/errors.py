@@ -82,17 +82,12 @@ class NegativeTopLevelQuota(HyperfactorError):
         super().__init__(f"color {color} needs {value} all-new edges")
 
 
-class InfeasibleTransport(HyperfactorError):
-    """A detachment transportation problem has no integral solution.
-
-    Mathematically impossible when the state invariants hold, so this is a
-    fatal internal error; the message names the first row left short.
-    """
-    outcome = "infeasible"
-
-
 class InternalInvariantViolation(HyperfactorError):
-    """A pipeline invariant failed; indicates a bug, not a bad input."""
+    """A pipeline invariant failed; indicates a bug, not a bad input.
+
+    A detachment transport that falls short is one: the state invariants
+    make it feasible, so its message names the max flow and the short row.
+    """
 
 
 class GenerationFailed(HyperfactorError):

@@ -30,6 +30,8 @@ def extend_instance(inst: Instance, seed: int | None = None,
     ``t_ms``, the milliseconds since the call began; ``hook(state, tp, plan)``
     sees each step's plan as solved, before the walk that checks and applies
     it (per row c, ``plan.moves[c]`` maps each color that moves to its copies).
+    ``tp.held[c]`` is row c's class map itself, which the walk then changes,
+    so a hook that needs the caps after the step copies them.
     Above the bound the level stage cannot get stuck, so a GreedyStuck or
     NegativeTopLevelQuota there is a bug, raised as InternalInvariantViolation.
     """

@@ -173,22 +173,23 @@ class InstrumentedChecks:
             for j, cnt in cls.colors.items():
                 weight[j] += level * cnt
         ok &= all(weight[j] == p.r[j] * q for j in range(p.k))
-        # Each row lists its held colors, ascending, with parallel caps; its
-        # plan row maps each color that moves, ascending, to a nonzero count.
-        # A color it does not hold has cap 0 and moves nothing.
+        # Each row is its class's own map, colors ascending with nonzero caps;
+        # its plan row maps each color that moves, ascending, to a nonzero
+        # count. A color it does not hold has cap 0 and moves nothing.
         col_sums = [Fraction(0)] * p.k
         move_sums = [0] * p.k
-        ok &= len(plan.moves) == len(tp.rows)
+        ok &= len(plan.moves) == len(tp.rows) == len(tp.held)
         for c, key in enumerate(tp.rows):
             level = key[1]
-            colors, caps, moves = tp.colors[c], tp.caps[c], plan.moves[c]
+            held, moves = tp.held[c], plan.moves[c]
+            colors, caps = list(held), list(held.values())
+            ok &= held is state.classes[key].colors and all(caps)
             ok &= colors == sorted(set(colors)) and all(0 <= j < p.k for j in colors)
             ok &= len(caps) == len(colors) and list(moves) == sorted(moves)
             witness_row = [Fraction(cap * level, state.weight) for cap in caps]
             ok &= sum(witness_row) == tp.supplies[c]
             ok &= all(x <= cap for x, cap in zip(witness_row, caps))
             ok &= sum(moves.values()) == tp.supplies[c]
-            held = dict(zip(colors, caps))
             ok &= all(0 < moved <= held.get(j, 0) for j, moved in moves.items())
             for j, x in zip(colors, witness_row):
                 col_sums[j] += x

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hyperfactor
 from hyperfactor import cli, detach, errors, generate, pipeline
 from hyperfactor.combinatorics import binom
-from hyperfactor.errors import HyperfactorError, InfeasibleTransport
+from hyperfactor.errors import HyperfactorError
 from hyperfactor.model import parse_certificate
 from test_pipeline import STUCK_DOC
 
@@ -151,14 +151,18 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert run_cli(["extend", str(path), "--force"]) == 5
 
-    def test_exit_6_on_internal_infeasibility(self, worked_path, monkeypatch):
-        from hyperfactor import detach
+    def test_exit_6_on_internal_infeasibility(self, worked_path, monkeypatch, capsys):
+        real = detach.build_transportation
 
-        def broken(tp):
-            raise InfeasibleTransport("forced for test")
+        def emptied(state):   # every row holds nothing: no unit can flow
+            tp = real(state)
+            return detach.TransportationProblem(rows=tp.rows, supplies=tp.supplies,
+                                                demands=tp.demands, held=[{} for _ in tp.rows])
 
-        monkeypatch.setattr(detach, "solve_transportation", broken)
+        monkeypatch.setattr(detach, "build_transportation", emptied)
         assert run_cli(["extend", worked_path]) == 6
+        assert capsys.readouterr().err.splitlines() == [
+            "error: max flow 0 < required 3; row ((), 2) short by 1"]
 
     def test_exit_6_when_the_certificate_fails_verification(self, worked_path, tmp_path,
                                                             monkeypatch, capsys):
@@ -257,7 +261,6 @@ class TestErrorMap:
         errors.InvalidInstance: (4, "error"),
         errors.GreedyStuck: (5, "greedy_stuck"),
         errors.NegativeTopLevelQuota: (5, "negative_quota"),
-        errors.InfeasibleTransport: (6, "infeasible"),
         errors.InternalInvariantViolation: (6, "error"),
         errors.GenerationFailed: (1, "gen_failed"),
     }
@@ -583,8 +586,8 @@ class TestSweep:
             "error: 2 sweep cell(s) failed verification, first (2, 2, 6, 1, 'ones', 0, False)"]
 
     @pytest.mark.parametrize("module, name, broken, kind, outcome", [
-        (detach, "solve_transportation", _raising(InfeasibleTransport),
-         "InfeasibleTransport", "infeasible"),
+        (detach, "solve_transportation", _raising(errors.InternalInvariantViolation),
+         "InternalInvariantViolation", "error"),
         (detach, "build_transportation", _raising(errors.InternalInvariantViolation),
          "InternalInvariantViolation", "error"),
         (pipeline, "greedy_color_level", _stuck_greedy,   # stuck above the bound: a bug

@@ -24,11 +24,7 @@ from hyperfactor.detach import (
     detach_step,
     solve_transportation,
 )
-from hyperfactor.errors import (
-    InadmissibleParameters,
-    InfeasibleTransport,
-    InternalInvariantViolation,
-)
+from hyperfactor.errors import InadmissibleParameters, InternalInvariantViolation
 from hyperfactor.generate import random_instance
 from hyperfactor.model import EdgeClass, Parameters, is_admissible, serialize_certificate
 from hyperfactor.pipeline import extend_instance
@@ -60,12 +56,12 @@ def enumerate_integral_plans(tp: TransportationProblem):
     solutions = []
     row_choices = []
     for c in range(len(tp.rows)):
-        cells = [range(cap + 1) for cap in tp.caps[c]]
+        cells = [range(cap + 1) for cap in tp.held[c].values()]
         row_choices.append([row for row in product(*cells) if sum(row) == tp.supplies[c]])
     for rows in product(*row_choices):
         col_sums = [0] * k
-        for colors, row in zip(tp.colors, rows):
-            for j, moved in zip(colors, row):
+        for held, row in zip(tp.held, rows):
+            for j, moved in zip(held, row):
                 col_sums[j] += moved
         if col_sums == tp.demands:
             solutions.append(as_maps(tp, rows))
@@ -73,9 +69,9 @@ def enumerate_integral_plans(tp: TransportationProblem):
 
 
 def as_maps(tp: TransportationProblem, moves) -> list[dict[int, int]]:
-    """Rows of moves parallel to ``tp.colors`` as ``{color: moved}`` maps of the nonzero cells."""
-    return [{j: moved for j, moved in zip(colors, row) if moved}
-            for colors, row in zip(tp.colors, moves, strict=True)]
+    """Rows of moves parallel to ``tp.held`` as ``{color: moved}`` maps of the nonzero cells."""
+    return [{j: moved for j, moved in zip(held, row) if moved}
+            for held, row in zip(tp.held, moves, strict=True)]
 
 
 def reference_moves(tp: TransportationProblem):
@@ -92,10 +88,10 @@ def reference_moves(tp: TransportationProblem):
     num_rows, k = len(tp.rows), len(tp.demands)
     sink = 1 + num_rows + k
     tails, heads, caps = [0] * num_rows, list(range(1, 1 + num_rows)), list(tp.supplies)
-    for c, (colors, row_caps) in enumerate(zip(tp.colors, tp.caps), start=1):
-        tails += [c] * len(colors)
-        heads += [1 + num_rows + j for j in colors]
-        caps += row_caps
+    for c, held in enumerate(tp.held, start=1):
+        tails += [c] * len(held)
+        heads += [1 + num_rows + j for j in held]
+        caps += held.values()
     tails += range(1 + num_rows, sink)
     heads += [sink] * k
     caps += tp.demands
@@ -150,7 +146,7 @@ def reference_moves(tp: TransportationProblem):
     if flow != sum(tp.supplies):
         return None
     cell_residual = iter(cap[2 * num_rows::2])
-    return [[c - left for c, left in zip(row_caps, cell_residual)] for row_caps in tp.caps]
+    return [[c - left for c, left in zip(held.values(), cell_residual)] for held in tp.held]
 
 
 def random_problem(rng) -> TransportationProblem:
@@ -163,7 +159,8 @@ def random_problem(rng) -> TransportationProblem:
     for _ in range(sum(supplies)):
         demands[rng.randrange(k)] += 1
     return TransportationProblem(rows=[((c + 1,), 1) for c in range(num_rows)],
-                                 supplies=supplies, demands=demands, colors=colors, caps=caps)
+                                 supplies=supplies, demands=demands,
+                                 held=list(map(dict, map(zip, colors, caps))))
 
 
 class TestBuildTransportation:
@@ -173,8 +170,9 @@ class TestBuildTransportation:
         assert tp.rows == [((), 2), ((1,), 1), ((2,), 1)]
         assert tp.supplies == [1, 1, 1]
         assert tp.demands == [1, 1, 1]
-        assert tp.colors == [[0], [1, 2], [1, 2]]
-        assert tp.caps == [[1], [1, 1], [1, 1]]
+        assert [list(held.items()) for held in tp.held] == [[(0, 1)], [(1, 1), (2, 1)],
+                                                             [(1, 1), (2, 1)]]
+        assert all(held is state.classes[key].colors for key, held in zip(tp.rows, tp.held))
 
     def test_totals_balance(self):
         params = Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)
@@ -190,7 +188,7 @@ class TestBuildTransportation:
         # at weight 1 only single-slot classes remain; every copy donates
         for c, key in enumerate(tp.rows):
             assert key[1] == 1
-            assert tp.supplies[c] == sum(tp.caps[c])
+            assert tp.supplies[c] == sum(tp.held[c].values())
 
     def test_fractional_witness_is_exact(self):
         params = Parameters(n=8, m=3, h=2, lam=1, r=(2, 2, 1, 1, 1))
@@ -200,10 +198,11 @@ class TestBuildTransportation:
             tp = build_transportation(state)
             col_sums = [Fraction(0)] * params.k
             for c, key in enumerate(tp.rows):
-                witness = [Fraction(cap * key[1], q) for cap in tp.caps[c]]
+                caps = tp.held[c].values()
+                witness = [Fraction(cap * key[1], q) for cap in caps]
                 assert sum(witness) == tp.supplies[c]
-                assert all(x <= cap for x, cap in zip(witness, tp.caps[c]))
-                for j, x in zip(tp.colors[c], witness):
+                assert all(x <= cap for x, cap in zip(witness, caps))
+                for j, x in zip(tp.held[c], witness):
                     col_sums[j] += x
             for j in range(params.k):
                 assert col_sums[j] == tp.demands[j]
@@ -232,8 +231,7 @@ class TestBuildTransportation:
 
 class TestSolveTransportation:
     def test_one_by_one(self):
-        tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2],
-                                   colors=[[0]], caps=[[2]])
+        tp = TransportationProblem(rows=[((), 1)], supplies=[2], demands=[2], held=[{0: 2}])
         plan = solve_transportation(tp)
         assert plan.moves == [{0: 2}]
 
@@ -245,12 +243,12 @@ class TestSolveTransportation:
         assert len(solutions) == 2
         plan = solve_transportation(tp)
         assert plan.moves in solutions
-        assert tp.colors[0] == [0] and plan.moves[0] == {0: 1}   # the all-new class donates color 1
+        assert list(tp.held[0]) == [0] and plan.moves[0] == {0: 1}   # the all-new class gives color 1
 
     def test_capacity_cut_infeasible(self):
-        tp = TransportationProblem(rows=[((), 1)], supplies=[1], demands=[1],
-                                   colors=[[]], caps=[[]])
-        with pytest.raises(InfeasibleTransport):
+        tp = TransportationProblem(rows=[((), 1)], supplies=[1], demands=[1], held=[{}])
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^max flow 0 < required 1; row \(\(\), 1\) short by 1$"):
             solve_transportation(tp)
 
     def test_reverse_arc_augmentation(self):
@@ -259,13 +257,13 @@ class TestSolveTransportation:
         # through the reverse arc of its color-1 cell.
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
                                    supplies=[2, 1, 1], demands=[2, 1, 1],
-                                   colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
+                                   held=[{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1}])
         assert solve_transportation(tp).moves == [{1: 1, 2: 1}, {0: 1}, {0: 1}]
 
     def test_infeasible_names_the_short_row(self):
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1)], supplies=[1, 1], demands=[1, 1],
-                                   colors=[[0], [0]], caps=[[1], [1]])
-        with pytest.raises(InfeasibleTransport) as info:
+                                   held=[{0: 1}, {0: 1}])
+        with pytest.raises(InternalInvariantViolation) as info:
             solve_transportation(tp)
         assert str(info.value) == "max flow 1 < required 2; row ((2,), 1) short by 1"
 
@@ -283,7 +281,7 @@ class TestSolveTransportation:
         # The reverse-arc problem: the greedy phase leaves row 2 short.
         tp = TransportationProblem(rows=[((1,), 1), ((2,), 1), ((3,), 1)],
                                    supplies=[2, 1, 1], demands=[2, 1, 1],
-                                   colors=[[0, 1, 2], [0, 1], [0]], caps=[[1, 1, 1], [1, 1], [1]])
+                                   held=[{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1}])
         with pytest.raises(InternalInvariantViolation,
                            match=r"^a flow phase pushed nothing; row \(\(3,\), 1\) short by 1$"):
             solve_transportation(tp)
@@ -297,7 +295,8 @@ class TestSolveTransportation:
             want = reference_moves(tp)
             try:
                 got = [list(row.items()) for row in solve_transportation(tp).moves]
-            except InfeasibleTransport:
+            except InternalInvariantViolation as exc:   # a stalled phase must not pass as short
+                assert str(exc).startswith("max flow "), exc
                 got = None
             if want is not None:   # the nonzero cells, colors ascending
                 want = [list(row.items()) for row in as_maps(tp, want)]
@@ -311,10 +310,10 @@ class TestSolveTransportation:
         for key in state.live:   # the state keeps every live map ascending
             assert list(state.classes[key].colors) == sorted(state.classes[key].colors), key
         tp = build_transportation(state)
-        assert any(len(colors) > 1 for colors in tp.colors)
-        for key, colors, caps in zip(tp.rows, tp.colors, tp.caps, strict=True):
-            counts = state.classes[key].colors
-            assert colors == list(counts) and caps == list(counts.values()) and all(caps)
+        assert any(len(held) > 1 for held in tp.held)
+        for key, held in zip(tp.rows, tp.held, strict=True):
+            assert held is state.classes[key].colors, key
+            assert list(held) == sorted(held) and all(held.values()), (key, held)
 
     def test_deterministic(self, worked_instance):
         plans = []
@@ -379,12 +378,12 @@ class TestSparseState:
             # and the plan's rows are nonzero maps within those counts.
             assert tp.rows == sorted(key for key in state.classes if key[1] >= 1)
             columns = [0] * params.k
-            for key, colors, caps, moves, supply in zip(tp.rows, tp.colors, tp.caps, plan.moves,
-                                                        tp.supplies, strict=True):
+            for key, held, moves, supply in zip(tp.rows, tp.held, plan.moves, tp.supplies,
+                                                strict=True):
+                colors = list(held)
                 assert all(a < b for a, b in zip(colors, colors[1:])), (key, colors)
-                assert dict(zip(colors, caps)) == state.classes[key].colors, key
-                assert all(cap > 0 for cap in caps), (key, caps)
-                held = dict(zip(colors, caps))
+                assert held is state.classes[key].colors, key
+                assert all(cap > 0 for cap in held.values()), (key, held)
                 assert all(0 < moved <= held.get(j, 0) for j, moved in moves.items()), key
                 assert sum(moves.values()) == supply, key
                 for j, moved in moves.items():
@@ -398,13 +397,26 @@ class TestSparseState:
         assert state.detached == params.n - params.m
 
     @SPARSE_CELLS
+    def test_rows_are_the_live_class_maps(self, params):
+        steps = []
+
+        def rows_in_place(state, tp, plan):
+            steps.append(None)
+            for c, key in enumerate(tp.rows):
+                assert tp.held[c] is state.classes[key].colors, key
+                assert list(tp.caps[c]) == list(tp.held[c].values()), key
+
+        detach_all(ready_state(random_instance(params, seed=3), seed=3), hook=rows_in_place)
+        assert len(steps) == params.n - params.m
+
+    @SPARSE_CELLS
     def test_plan_rows_are_ascending_nonzero_maps(self, params):
         steps = []
 
         def shape(state, tp, plan):
             steps.append(len(plan.moves))
-            for key, colors, moves in zip(tp.rows, tp.colors, plan.moves, strict=True):
-                assert list(moves) == sorted(moves) and set(moves) <= set(colors), (key, moves)
+            for key, held, moves in zip(tp.rows, tp.held, plan.moves, strict=True):
+                assert list(moves) == sorted(moves) and moves.keys() <= held.keys(), (key, moves)
                 assert all(moved >= 1 for moved in moves.values()), (key, moves)
 
         detach_all(ready_state(random_instance(params, seed=3), seed=3), hook=shape)
@@ -471,13 +483,12 @@ class TestStepChecks:
         # Shift one copy the plan leaves behind to another color of its live
         # class: every class total holds, only the color weights change.
         def shift_copy(state, tp, plan):
-            for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
-                for t, (j, cap) in enumerate(zip(colors, caps)):
-                    if cap > moves.get(j, 0) and len(colors) > 1:
-                        counts = state.classes[key].colors
-                        other = colors[t - 1]
-                        counts[j] -= 1
-                        counts[other] += 1
+            for held, moves in zip(tp.held, plan.moves):   # each row is its live class's map
+                colors = list(held)
+                for t, j in enumerate(colors):
+                    if held[j] > moves.get(j, 0) and len(colors) > 1:
+                        held[j] -= 1
+                        held[colors[t - 1]] += 1
                         return
 
         with pytest.raises(InternalInvariantViolation, match=r"^color 2: live classes weigh"):

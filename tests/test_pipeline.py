@@ -2,21 +2,30 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfactor.combinatorics import binom, bound_holds
 from hyperfactor import cli, pipeline
-from hyperfactor.errors import GreedyStuck, InternalInvariantViolation, NegativeTopLevelQuota
+from hyperfactor.errors import (
+    GenerationFailed,
+    GreedyStuck,
+    InadmissibleParameters,
+    InternalInvariantViolation,
+    NegativeTopLevelQuota,
+)
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
     Certificate,
     EdgeClass,
     Instance,
     Parameters,
+    is_admissible,
     parse_instance,
     serialize_certificate,
     serialize_instance,
@@ -26,6 +35,7 @@ from hyperfactor.pipeline import extend_instance, single_edge_instance
 from hyperfactor.verify import verify_certificate
 
 from conftest import make_instance
+from oracles import EXHAUSTED, TOO_LARGE, brute_force_extend
 
 # frozen below-bound witness: the deterministic greedy sticks at level 1
 STUCK_DOC = (
@@ -184,8 +194,8 @@ def theorem_cells() -> list[tuple[int, int, int, int]]:
 def check_plan_rows(state, tp, plan) -> None:
     """A ``detach_step`` hook: each plan row is an ascending nonzero map within its caps."""
     assert len(plan.moves) == len(tp.rows)
-    for key, colors, caps, moves in zip(tp.rows, tp.colors, tp.caps, plan.moves):
-        held = dict(zip(colors, caps))
+    for key, held, moves in zip(tp.rows, tp.held, plan.moves):
+        assert held is state.classes[key].colors, key
         assert list(moves) == sorted(moves), (key, moves)
         assert all(0 < moved <= held.get(j, 0) for j, moved in moves.items()), (key, moves)
 
@@ -209,6 +219,104 @@ class TestTheorem:
 
     def test_cells_span_h_2_to_4(self):
         assert {h for h, *_ in theorem_cells()} == {2, 3, 4}
+
+    def test_inadmissible_r_exits_2_with_one_error_line(self, tmp_path, capsys):
+        """The converse: an r that breaks admissibility is refused by extend and gen."""
+        rng = random.Random(9)
+        ways = Counter()
+        path = tmp_path / "inst.json"
+        for t in range(20):
+            h, m, n, lam = rng.choice(theorem_cells())
+            r = list(random_admissible_r(n, h, lam, rng))
+            inst = random_instance(Parameters(n=n, m=m, h=h, lam=lam, r=tuple(r)), seed=t)
+            doc = json.loads(serialize_instance(inst))
+            unit = rng.randrange(len(r))
+            broken = {"degree": r[:unit] + [r[unit] + 1] + r[unit + 1:]}   # the sum is off by one
+            if n % h:   # parts are multiples of h / gcd(n, h) > 1: a part of 1 keeps the sum
+                broken["divisibility"] = r[:unit] + [1, r[unit] - 1] + r[unit + 1:]
+            for way, bad in broken.items():
+                ways[way] += 1
+                doc["r"] = bad
+                path.write_text(json.dumps(doc))
+                for argv in (["extend", str(path)],
+                             ["gen", "--n", str(n), "--m", str(m), "--h", str(h),
+                              "--lam", str(lam), "--r", ",".join(map(str, bad))]):
+                    assert cli.main(argv) == 2, (argv[0], way, h, m, n, lam)
+                    err = capsys.readouterr().err.splitlines()
+                    assert len(err) == 1 and err[0].startswith("error: "), (argv[0], way, err)
+        assert ways["degree"] == 20 and ways["divisibility"] > 0, ways
+
+
+def h2_below_bound_cells() -> list[tuple[Parameters, int]]:
+    """The admissible below-bound h = 2 grid, as (parameters, seed).
+
+    m 3-9, n from m + 1 to 2m - 1, lambda 1-3, r ones, uniform:2 or uniform:3,
+    seeds 0-2.
+    """
+    cells = []
+    for m in range(3, 10):
+        for n, lam, pattern, seed in product(range(m + 1, 2 * m), (1, 2, 3),
+                                             ("ones", "uniform:2", "uniform:3"), range(3)):
+            try:
+                params = Parameters(n=n, m=m, h=2, lam=lam,
+                                    r=cli.build_r_vector(pattern, n, 2, lam))
+            except InadmissibleParameters:
+                continue
+            if is_admissible(params):
+                cells.append((params, seed))
+    return cells
+
+
+class TestH2ExistenceRule:
+    """At h = 2 an instance extends exactly when 2 e_j >= r_j (2m - n) for every color j.
+
+    e_j counts the instance's copies of color j. At h = 2 the level stage is
+    forced, so color j's top quota is e_j - r_j (m - n/2) and the rule says
+    that no quota is negative; detachment never fails from a checked state.
+    Above the bound, n >= 2m, the rule always holds, so the grid lies below it.
+    """
+
+    @staticmethod
+    def rule_holds(inst) -> bool:
+        p = inst.params
+        copies = [0] * p.k
+        for cls in inst.coloring:
+            for j, cnt in cls.colors.items():
+                copies[j] += cnt
+        return all(2 * e >= rj * (2 * p.m - p.n) for e, rj in zip(copies, p.r))
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        instances = []
+        for params, seed in h2_below_bound_cells():
+            assert not bound_holds(params.n, params.m, params.h), params
+            try:
+                instances.append(random_instance(params, seed=seed))
+            except GenerationFailed:   # 6 of the 447 cells have no random instance
+                continue
+        return instances
+
+    def test_the_engine_extends_exactly_when_the_rule_holds(self, grid):
+        none = 0
+        for inst in grid:
+            try:   # a GreedyStuck fails the test: at h = 2 the greedy level is forced
+                ok = verify_certificate(extend_instance(inst), inst).ok
+            except NegativeTopLevelQuota:
+                ok = False
+            assert ok == self.rule_holds(inst), inst.params
+            none += not ok
+        assert (len(grid), none) == (441, 235)
+
+    def test_the_oracle_agrees_where_it_decides(self, grid):
+        decided = none = 0
+        for inst in grid:
+            found = brute_force_extend(inst, copy_budget=20)
+            if found is TOO_LARGE:
+                continue
+            decided += 1
+            none += found is EXHAUSTED
+            assert (found is not EXHAUSTED) == self.rule_holds(inst), inst.params
+        assert (decided, none) == (121, 55)
 
 
 class TestSingleEdgeInstance:
