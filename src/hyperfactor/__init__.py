@@ -28,6 +28,7 @@ from .model import (
     is_admissible,
     parse_certificate,
     parse_instance,
+    require_admissible,
     serialize_certificate,
     serialize_instance,
     validate_instance,
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "binom", "bound_holds",
     "Parameters", "EdgeClass", "Instance", "Certificate",
-    "is_admissible", "validate_instance",
+    "is_admissible", "require_admissible", "validate_instance",
     "parse_instance", "serialize_instance", "parse_certificate", "serialize_certificate",
     "random_instance", "extend_instance", "single_edge_instance",
     "verify_certificate",

@@ -17,12 +17,11 @@ from itertools import combinations
 from .combinatorics import binom
 from .errors import (
     GreedyStuck,
-    InadmissibleParameters,
     InternalInvariantViolation,
     InvalidInstance,
     NegativeTopLevelQuota,
 )
-from .model import EdgeClass, Instance, Parameters, is_admissible, validate_instance
+from .model import EdgeClass, Instance, Parameters, require_admissible, validate_instance
 
 ClassKey = tuple[tuple[int, ...], int]
 
@@ -39,8 +38,8 @@ class AmalgamState:
     rule: a class gains its colors from one writer (the input, the greedy once
     per level class, the quotas, or a detach target's one donor), and later
     steps only take copies from live maps. ``sealed`` holds the copy of each
-    finished map a full ``check`` has counted, interned by content in
-    ``seals``. A live map lists its colors ascending, as its writer filled it.
+    finished map ``check`` has counted, interned by content in ``seals``. A
+    live map lists its colors ascending, as its writer filled it.
     ``degrees`` maps each original vertex 1..m to its dense per-color
     degrees; only the greedy levels and ``finish_levels`` read it.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
@@ -63,38 +62,20 @@ class AmalgamState:
     def weight(self) -> int:
         return self.params.n - self.params.m - self.detached
 
-    def check(self, tp=None, plan=None) -> None:
-        """Assert the invariant of a fully colored state at weight q.
+    def check(self) -> None:
+        """Assert the invariant of a fully colored state at weight q: one full recount.
 
         Every class (X, i) holds lambda * C(q, i) copies, the live classes
         weigh r_j * q in each color j (sum i * count_j, the amalgam's degree),
-        every class is live or finished, and at q = 0 none is live. Given a
-        detach step's ``tp`` and ``plan``, it reads the sums off the plan's
-        sparse row maps, one pass over the moved cells: row (X, i) gives
-        lambda * C(q, i - 1) copies, color j gets r_j.
-        That suffices: the check held before the step, the walk kept each move
-        within its cap, every live class is a row and a target's only donor is
-        its row. So a source keeps lambda * C(q, i) exactly when its row sum is
-        right, its target then holds lambda * C(q, i - 1), and each moved copy
-        lowers its color's weight by one. By the write-once rule only a hook
-        may write between stages, so the quotas and a step under a hook pass no
-        plan. Then, or if a sum fails, each live cell is recounted and each
-        finished map counted once, then compared at C speed with its sealed
-        copy; a failure names its class or color, else the plan's first wrong
-        row or color.
+        every class is live or finished, and at q = 0 none is live. Each live
+        cell is recounted, and each finished map is counted once, then
+        compared at C speed with its sealed copy; a failure names its class
+        or color. It runs after the quotas, and after a detach step that ran
+        a hook or whose own sums or counts are off (see ``detach_step``).
         """
         p, q = self.params, self.weight
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
         classes, live, finished, sealed = self.classes, self.live, self.finished, self.sealed
-        if tp is not None:   # the step's sums, from its nonzero moves
-            given, columns = [], [0] * p.k
-            for c, row in zip(tp.rows, plan.moves):
-                given.append((c, sum(row.values()), per_level[c[1] - 1]))
-                for j, moved in row.items():
-                    columns[j] += moved
-            if (all(n == e for _, n, e in given) and tuple(columns) == p.r
-                    and len(live) + len(finished) == len(classes) and (q or not live)):
-                return
         if len(live) + len(finished) != len(classes):
             raise InternalInvariantViolation(
                 f"{len(classes)} classes, but {len(live)} live and {len(finished)} finished")
@@ -123,11 +104,6 @@ class AmalgamState:
                     f"color {j}: live classes weigh {w}, expected {rj * q}")
         if not q and live:
             raise InternalInvariantViolation(f"class {min(live)} kept amalgam slots")
-        if tp is not None:   # the recount holds, so a row or a color of the plan is off
-            wrong = [f"row {c} gives {n} copies, expected {e}" for c, n, e in given if n != e]
-            wrong += [f"color {j}: moves total {n}, expected {rj}"
-                      for j, (n, rj) in enumerate(zip(columns, p.r), start=1) if n != rj]
-            raise InternalInvariantViolation(wrong[0])
 
     def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)
@@ -150,8 +126,7 @@ def build_amalgam(inst: Instance) -> AmalgamState:
     new maps, so the state never shares a ``colors`` map with the instance.
     """
     p = inst.params
-    if not is_admissible(p):
-        raise InadmissibleParameters(f"(n={p.n}, h={p.h}, lambda={p.lam}, r) fails admissibility")
+    require_admissible(p)
     report = validate_instance(inst)
     if not report.ok:
         raise InvalidInstance(report)
@@ -241,6 +216,16 @@ def finish_levels(state: AmalgamState) -> list[int]:
     admissibility, which ``build_amalgam`` checked), so its level-h quota is
     that minus the copies of color j the classes already hold. A quota may be
     negative; ``assign_level_h`` rejects it.
+
+    At h = 2 that decides existence: an admissible, valid instance extends
+    exactly when e_j >= r_j * (m - n/2) for every color j, e_j being the
+    input's copies of color j and deg_j(x) vertex x's input degree in color
+    j. Vertex x's level-1 class holds lambda * (n - m) copies, exactly its
+    residual sum_j (r_j - deg_j(x)), so level 1 is forced. Hence
+    quota_j = r_j * n/2 - e_j - sum_x (r_j - deg_j(x)) = e_j - r_j * (m - n/2).
+    Detachment never fails from a checked state, so quotas >= 0 extend. And
+    every extension has these counts: its edges of color j joining two new
+    vertices number quota_j.
     """
     p = state.params
     if state.level_done != p.h - 1:

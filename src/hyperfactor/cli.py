@@ -29,6 +29,7 @@ from .model import (
     is_admissible,
     parse_certificate,
     parse_instance,
+    require_admissible,
     serialize_certificate,
     serialize_instance,
 )
@@ -130,8 +131,7 @@ def _parameters(n: int, m: int, h: int, lam: int, r_pattern: str) -> Parameters:
 
 def _check_hypotheses(p: Parameters, force: bool) -> None:
     """Require admissibility, then the bound unless ``force``."""
-    if not is_admissible(p):
-        raise InadmissibleParameters("parameters are inadmissible")
+    require_admissible(p)
     if not force and not bound_holds(p.n, p.m, p.h):
         raise BelowBound(f"n={p.n} is below the extension bound for m={p.m}, h={p.h}; "
                          "pass --force for a best-effort attempt")

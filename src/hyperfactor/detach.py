@@ -8,12 +8,13 @@ The only freedom is how each class's donation distributes over colors:
 an integral transportation problem with row supplies, column demands and
 cell capacities.
 
-Feasibility is the fractional point x[c][j] = cap[c][j] * i_c / q. A state
-that passed ``AmalgamState.check`` has every class (X, i) holding
-lambda * C(q, i) copies, and q * lambda * C(q-1, i-1) = i * lambda * C(q, i),
-so row c of the point sums to its supply; column j sums to the live classes'
-weight r_j * q divided by q, which is r_j. So the supplies total sum_j r_j,
-a flow saturates them, and with integral capacities an integral one does too.
+Feasibility is the fractional point x[c][j] = cap[c][j] * i_c / q. A checked
+state (``AmalgamState.check`` after the quotas, then each step's own sums)
+has every class (X, i) holding lambda * C(q, i) copies, and
+q * lambda * C(q-1, i-1) = i * lambda * C(q, i), so row c of the point sums
+to its supply; column j sums to the live classes' weight r_j * q divided by
+q, which is r_j. So the supplies total sum_j r_j, a flow saturates them, and
+with integral capacities an integral one does too.
 
 Dinic's max-flow finds the plan, run on the rows and colors themselves
 rather than on an arc graph: its first phase is a greedy pass over the rows,
@@ -75,10 +76,10 @@ class DetachPlan:
 def build_transportation(state: AmalgamState) -> TransportationProblem:
     """Set up the donation problem for the next new vertex.
 
-    Requires a state that passed ``AmalgamState.check`` (``assign_level_h``
-    and each ``detach_step`` end with it), the witness of the module
-    docstring, so only the call order is checked here; the rows are the live
-    maps as they stand.
+    Requires a checked state (``assign_level_h`` ends with
+    ``AmalgamState.check``, each ``detach_step`` with its own sums), the
+    witness of the module docstring, so only the call order is checked here;
+    the rows are the live maps as they stand.
     """
     p, q = state.params, state.weight
     if q < 1:
@@ -169,6 +170,9 @@ def _later_phase(tp: TransportationProblem, moves: list[dict[int, int]], row_lef
                 pushed = min(row_left[first], col_left[j],
                              *[held[r][c] - moves[r].get(c, 0) for r, c in path[0::2]],
                              *[moves[r][c] for r, c in path[1::2]])
+                if not pushed:   # a saturated arc on the path; the DFS would retry it forever
+                    raise InternalInvariantViolation(
+                        f"a flow path from row {tp.rows[first]} pushed nothing")
                 row_left[first] -= pushed
                 col_left[j] -= pushed
                 for r, c in path[0::2]:
@@ -210,8 +214,9 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     the same arcs in the same order (at a row its colors ascending, at a color
     the sink or else the rows sending it flow, by row), so every push is the
     generic Dinic's. A row left short raises InternalInvariantViolation naming
-    it, as does a later phase that pushes no unit. The rows read ``tp.held``
-    in place; the plan is each row's map of moves, sorted once by color.
+    it, as does a later phase, or a path in one, that pushes no unit. The
+    rows read ``tp.held`` in place; the plan is each row's map of moves,
+    sorted once by color.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
     moves: list[dict[int, int]] = [{} for _ in tp.held]
@@ -247,18 +252,33 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     color j of its map, moves[c][j] copies of color j become (X + {new}, i - 1)
     copies of the same color. One walk applies the plan, each row writing its
     own target (``AmalgamState``'s write-once rule). The walk visits only the
-    moved cells and checks each 0 < move <= cap, the cap read off the row's
-    map in ``tp.held`` (the class's own), before it is written. A failed
-    check leaves the state partly applied; discard it. The hook sees the plan
-    before the walk; ``state.check`` then checks the step, from its moves
-    unless a hook ran, as its docstring says.
+    moved cells: it checks each 0 < move <= cap, the cap read off the row's
+    map in ``tp.held`` (the class's own), before it is written, and sums the
+    moves of each row and of each color. A failed cap check leaves the state
+    partly applied; discard it. The hook sees the plan before the walk.
+
+    The sums check the step. Row (X, i) must give lambda * C(q-1, i-1)
+    copies, computed from the parameters, and color j must total r_j. That
+    suffices: the state was checked before the step, the walk kept each move
+    within its cap, every live class is a row and a target's only donor is
+    its row. So a source keeps lambda * C(q-1, i) exactly when its row sum is
+    right, its target then holds lambda * C(q-1, i-1), and each moved copy
+    lowers its color's weight by one. By the write-once rule only a hook may
+    write between stages. So ``state.check``, the full recount, runs only
+    when a hook ran, a sum is off, some class is neither live nor finished,
+    or a class is still live at q = 0; it names the broken class or color.
+    If the recount holds while a sum is off, the first wrong row or color is
+    named, though the induction rules that out.
     """
     tp = build_transportation(state)
     plan = solve_transportation(tp)
     if hook is not None:
         hook(state, tp, plan)
 
-    new_vertex = state.params.m + state.detached + 1
+    p, q = state.params, state.weight
+    gives = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
+    new_vertex = p.m + state.detached + 1
+    columns, wrong = [0] * p.k, None
     for key, colors, moves in zip(tp.rows, tp.held, plan.moves):
         # the new vertex outnumbers every vertex of the support: no other row shares this target
         target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
@@ -273,14 +293,21 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
             else:
                 del colors[j]   # the state keeps no zero counts
             target[j] = moved
+            columns[j] += moved
+        if (given := sum(moves.values())) != gives[key[1]]:
+            wrong = wrong or f"row {key} gives {given} copies, expected {gives[key[1]]}"
         if not colors:
             del state.classes[key], state.live[key]
 
     state.detached += 1
-    if hook is None:
-        state.check(tp, plan)
-    else:
+    if wrong is None and tuple(columns) != p.r:
+        wrong = next(f"color {j}: moves total {n}, expected {rj}"
+                     for j, (n, rj) in enumerate(zip(columns, p.r), start=1) if n != rj)
+    if (hook is not None or wrong is not None or (state.live and not state.weight)
+            or len(state.live) + len(state.finished) != len(state.classes)):
         state.check()
+        if wrong is not None:
+            raise InternalInvariantViolation(wrong)
     return state
 
 

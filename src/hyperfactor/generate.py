@@ -4,14 +4,14 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .errors import GenerationFailed, InadmissibleParameters, TooLarge
+from .errors import GenerationFailed, TooLarge
 from .model import (
     MAX_STATE_SLOTS,
     EdgeClass,
     Instance,
     Parameters,
     exceeds_state_limit,
-    is_admissible,
+    require_admissible,
 )
 
 _SEED_STRIDE = 1_000_003
@@ -97,8 +97,7 @@ def random_instance(params: Parameters, seed: int = 0) -> Instance:
     GenerationFailed after that reflects the retry budget, not
     impossibility. Raises TooLarge when the copies would top MAX_STATE_SLOTS.
     """
-    if not is_admissible(params):
-        raise InadmissibleParameters("refusing to generate an inadmissible instance")
+    require_admissible(params)
     if exceeds_state_limit(params.lam, params.m, params.h):
         raise TooLarge(f"lambda={params.lam}, m={params.m}, h={params.h}: lambda * C(m,h) "
                        f"edge copies exceed the state limit of {MAX_STATE_SLOTS}")

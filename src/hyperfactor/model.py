@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, repeat
-from operator import attrgetter, getitem, itemgetter, lt
+from operator import getitem, itemgetter, lt
 
 from .combinatorics import binom
-from .errors import SchemaError, TooLarge
+from .errors import InadmissibleParameters, SchemaError, TooLarge
 
 # Cap on C(n, h) * (k + 8), a bound on the state in slots of about 8 bytes:
 # k for a class's color counts (it holds at most k nonzero ones) and 8 for its
@@ -139,17 +139,29 @@ class Report:
         return {"pass": self.ok, "failures": self.failures}
 
 
-def is_admissible(params: Parameters) -> bool:
-    """Necessary conditions for an extension to exist.
+def require_admissible(params: Parameters) -> None:
+    """Raise InadmissibleParameters naming the first necessary condition that fails.
 
     Every color class of an r_j-factor of lambda K_n^h has r_j * n / h edge
     copies, so h must divide r_j * n; and the color degrees at a vertex must
     sum to the full degree lambda * C(n-1, h-1).
     """
     n, h = params.n, params.h
-    if any((rj * n) % h != 0 for rj in params.r):
+    for j, rj in enumerate(params.r, start=1):
+        if rj * n % h:
+            raise InadmissibleParameters(f"h={h} does not divide r_{j}·n = {rj}·{n}")
+    full = params.lam * binom(n - 1, h - 1)
+    if sum(params.r) != full:
+        raise InadmissibleParameters(f"r sums to {sum(params.r)}, not lambda·C(n-1, h-1) = "
+                                     f"{params.lam}·C({n - 1}, {h - 1}) = {full}")
+
+
+def is_admissible(params: Parameters) -> bool:
+    """True if ``require_admissible`` passes."""
+    try:
+        return require_admissible(params) is None
+    except InadmissibleParameters:
         return False
-    return sum(params.r) == params.lam * binom(n - 1, h - 1)
 
 
 def validate_instance(inst: Instance) -> Report:
@@ -253,7 +265,7 @@ class _BadField(Exception):
 def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeClass]:
     """The edge classes of a document, merged per support, sorted, with no zero counts.
 
-    A canonical ``edges`` array is decided in bulk (``_canonical_edges``).
+    An array in ``extend``'s order is decided in bulk (``_canonical_edges``).
     Any other is walked entry by entry (``_walk_edges``): the walk merges and
     sorts a valid document, and names the first error of a damaged one. Color
     labels are checked once per distinct label present, so the cost follows
@@ -272,9 +284,10 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
     The tests run at C speed over columns of the array: every entry is an
     object of exactly the three fields, every support a list of h ascending
     ints in [1, max_vertex], every alpha the int 0, every color map nonempty
-    with int counts >= 1 under labels in [1, k], and no support repeats.
-    ``type(v) is int`` rejects true and 1.0, which compare equal to 1. A
-    document that fails any test, valid or not, is left to the walk.
+    with int counts >= 1 under labels in [1, k], and the supports strictly
+    ascending, the order ``extend`` writes. ``type(v) is int`` rejects true
+    and 1.0, which compare equal to 1. A document that fails any test, valid
+    or not (out of order or with a repeated support, say), is left to the walk.
     """
     if not entries:
         return []
@@ -292,6 +305,7 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
     if not ({int}.issuperset(map(type, vertices))
             and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
             and min(columns[0]) >= 1 and max(columns[-1]) <= max_vertex
+            and all(map(lt, supports, supports[1:]))
             and {int}.issuperset(map(type, alphas)) and not any(alphas)
             and {dict}.issuperset(map(type, maps)) and all(maps)):
         return None
@@ -306,16 +320,10 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
         color_of = {label: _color_index(label, params.k) for label in set(labels)}
     except _BadField:
         return None
-    ordered = all(map(lt, supports, supports[1:]))
-    if not ordered and len(set(map(tuple, supports))) < len(supports):
-        return None   # a repeated support, which the walk merges
     colors = ([{color_of[label]: cnt} for label, cnt in zip(labels, counts)] if one_color
               else [{color_of[label]: cnt for label, cnt in labelled.items()} for labelled in maps])
     del labels, counts, maps
-    classes = list(map(EdgeClass, map(tuple, supports), repeat(0), colors))
-    if not ordered:
-        classes.sort(key=attrgetter("support"))
-    return classes
+    return list(map(EdgeClass, map(tuple, supports), repeat(0), colors))
 
 
 def _walk_edges(entries: list, params: Parameters, max_vertex: int) -> list[EdgeClass]:
@@ -340,15 +348,12 @@ def _walk_edges(entries: list, params: Parameters, max_vertex: int) -> list[Edge
             support = entry["support"]
             if type(support) is not list:
                 raise _BadField("expected a list", ".support")
-            for v in support:   # a bad support is walked again: first bad type, then range
-                if type(v) is not int or v < 1 or v > max_vertex:
-                    for i, u in enumerate(support):
-                        if type(u) is not int:
-                            raise _BadField("expected an integer", f".support[{i}]")
-                    for i, u in enumerate(support):
-                        if u < 1 or u > max_vertex:
-                            raise _BadField(f"vertex {u} outside [1, {max_vertex}]",
-                                            f".support[{i}]")
+            for i, v in enumerate(support):   # first a bad type, then a vertex out of range
+                if type(v) is not int:
+                    raise _BadField("expected an integer", f".support[{i}]")
+            for i, v in enumerate(support):
+                if v < 1 or v > max_vertex:
+                    raise _BadField(f"vertex {v} outside [1, {max_vertex}]", f".support[{i}]")
             support = tuple(sorted(support))
             if len(set(support)) != len(support):
                 raise _BadField("repeated vertex in support", ".support")

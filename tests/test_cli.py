@@ -425,8 +425,9 @@ class TestDeterminism:
 
 
 class TestGen:
-    def test_gen_inadmissible_exits_2(self):
+    def test_gen_inadmissible_exits_2(self, capsys):
         assert run_cli(["gen", "--n", "7", "--m", "3", "--h", "3", "--r", "ones"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: h=3 does not divide r_1·n = 1·7"]
 
     @pytest.mark.parametrize("argv, message", [
         (["--n", "5", "--m", "2", "--h", "2", "--r", "1,x"], "cannot parse r pattern '1,x'"),

@@ -1,12 +1,18 @@
 """Unit tests for the detachment stage and transportation solver."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import hyperfactor
+from hyperfactor import detach as detach_module
 from hyperfactor.amalgam import (
     AmalgamState,
     assign_level_h,
@@ -287,6 +293,47 @@ class TestSolveTransportation:
             solve_transportation(tp)
         assert len(calls) == 1
 
+    # The 33rd draw of random_problem(random.Random(2024)), the first that makes
+    # the mutant below loop: its later phase reaches a saturated cell.
+    PINNED = TransportationProblem(
+        rows=[((c,), 1) for c in range(1, 6)], supplies=[2, 5, 2, 2, 6],
+        demands=[2, 2, 2, 3, 3, 5],
+        held=[{1: 2, 2: 2, 3: 3, 4: 1}, {0: 3, 1: 3, 2: 2, 3: 1, 5: 3}, {1: 1, 2: 2},
+              {0: 3, 1: 2, 4: 2}, {0: 2, 1: 2, 3: 1, 5: 1}])
+
+    def test_a_path_that_pushes_nothing_raises(self):
+        # A mutant whose DFS accepts saturated cells pushes zero units along a
+        # path, and without the guard retries it forever; the child process's
+        # timeout turns such a hang into a failure here.
+        rng = random.Random(2024)
+        for _ in range(33):
+            drawn = random_problem(rng)
+        assert drawn == self.PINNED
+        source = open(detach_module.__file__, encoding="utf-8").read()
+        arc_test = "row_moves.get(arc[0], 0) < arc[1]"
+        assert source.count(arc_test) == 2   # the DFS keeps a current arc, or scans past it
+        mutant = source.replace(arc_test, arc_test.replace("<", "<="))
+        child = textwrap.dedent(f"""
+            import importlib.util, sys
+            from hyperfactor.errors import InternalInvariantViolation
+            spec = importlib.util.spec_from_loader("hyperfactor._detach_mutant", loader=None)
+            mutant = importlib.util.module_from_spec(spec)
+            mutant.__package__ = "hyperfactor"
+            sys.modules[spec.name] = mutant
+            exec(compile(sys.stdin.read(), "detach_mutant.py", "exec"), mutant.__dict__)
+            try:
+                mutant.solve_transportation(mutant.TransportationProblem(**{vars(self.PINNED)!r}))
+            except InternalInvariantViolation as exc:
+                print(exc)
+        """)
+        package_parent = os.path.dirname(os.path.dirname(hyperfactor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child], input=mutant, capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "a flow path from row ((3,), 1) pushed nothing\n"
+
     def test_matches_the_reference_dinic(self):
         rng = random.Random(2024)
         infeasible = 0
@@ -518,16 +565,16 @@ def small_cells() -> list[Parameters]:
 
 
 class TestFastCheck:
-    """Without a hook a step checks its sums from its moves; the recount runs elsewhere."""
+    """Without a hook a step checks its own sums; the recount runs elsewhere."""
 
     @staticmethod
     def count_recounts(monkeypatch):
         recounts = []
         real = AmalgamState.check
 
-        def counting(state, tp=None, plan=None):
-            recounts.append(tp is None)
-            return real(state, tp, plan)
+        def counting(state):
+            recounts.append(None)
+            return real(state)
 
         monkeypatch.setattr(AmalgamState, "check", counting)
         return recounts
@@ -538,8 +585,8 @@ class TestFastCheck:
         inst = random_instance(params, seed=3)
         recounts = self.count_recounts(monkeypatch)
         assert verify_certificate(extend_instance(inst, seed=3, hook=hook), inst).ok
-        assert len(recounts) == params.n - params.m + 1   # the quotas and each step
-        assert sum(recounts) == (1 if hook is None else params.n - params.m + 1)
+        # the quotas, and each step only under a hook
+        assert len(recounts) == (1 if hook is None else params.n - params.m + 1)
 
     def test_hook_and_no_hook_give_the_same_certificates(self):
         sample = random.Random(23).sample(small_cells(), 60)
@@ -551,18 +598,21 @@ class TestFastCheck:
             hooked = detach_all(ready_state(inst, seed=seed), hook=lambda state, tp, plan: None)
             assert serialize_certificate(plain) == serialize_certificate(hooked), (params, seed)
 
-    # After the worked example's first step the state is sound, so a plan with
-    # a wrong sum passes the recount and is named by its row or color.
+    # When the recount holds, a plan with a wrong sum is named by its first wrong
+    # row or color. The recount is stubbed out: on a real state it names the
+    # class or color the wrong sum broke first.
     @pytest.mark.parametrize("moves, message", [
         ([{0: 1}, {1: 1, 2: 1}, {}], r"^row \(\(1,\), 1\) gives 2 copies, expected 1$"),
         ([{0: 1}, {1: 1}, {1: 1}], r"^color 2: moves total 2, expected 1$"),
     ], ids=["row", "color"])
-    def test_plan_sums_named_when_the_recount_holds(self, worked_instance, moves, message):
+    def test_plan_sums_named_when_the_recount_holds(self, worked_instance, monkeypatch,
+                                                    moves, message):
+        from hyperfactor import detach
         state = ready_state(worked_instance)
-        tp = build_transportation(state)
-        detach_step(state)
+        monkeypatch.setattr(detach, "solve_transportation", lambda tp: DetachPlan(moves=moves))
+        monkeypatch.setattr(AmalgamState, "check", lambda state: None)
         with pytest.raises(InternalInvariantViolation, match=message):
-            state.check(tp, DetachPlan(moves=moves))
+            detach_step(state)
 
 
 class TestDetachAll:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperfactor import cli
 from hyperfactor.combinatorics import binom
-from hyperfactor.errors import SchemaError, TooLarge
+from hyperfactor.errors import InadmissibleParameters, SchemaError, TooLarge
 from hyperfactor.generate import random_instance
 from hyperfactor.model import (
     MAX_FAILURES,
@@ -18,6 +18,7 @@ from hyperfactor.model import (
     Parameters,
     Report,
     is_admissible,
+    require_admissible,
     parse_certificate,
     parse_instance,
     serialize_certificate,
@@ -52,10 +53,25 @@ class TestAdmissibility:
         assert is_admissible(Parameters(n=4, m=2, h=2, lam=1, r=(2, 1)))
         assert not is_admissible(Parameters(n=5, m=2, h=2, lam=1, r=(1, 1, 1, 1)))
         assert is_admissible(Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28))
+        assert require_admissible(Parameters(n=9, m=3, h=3, lam=1, r=(1,) * 28)) is None
         assert binom(8, 2) == 28
 
     def test_wrong_sum_rejected(self):
         assert not is_admissible(Parameters(n=4, m=2, h=2, lam=1, r=(1, 1)))
+
+    @pytest.mark.parametrize("params, message", [
+        (Parameters(n=10, m=3, h=3, lam=1, r=(3, 1, 2) + (1,) * 32),
+         "h=3 does not divide r_2·n = 1·10"),   # the first such color; r_3 fails too
+        (Parameters(n=4, m=2, h=2, lam=1, r=(1, 1)),
+         "r sums to 2, not lambda·C(n-1, h-1) = 1·C(3, 1) = 3"),
+        (Parameters(n=5, m=2, h=2, lam=1, r=(2, 2, 2)),   # h divides each r_j * n
+         "r sums to 6, not lambda·C(n-1, h-1) = 1·C(4, 1) = 4"),
+    ], ids=["divisibility", "sum", "sum-after-divisibility"])
+    def test_the_error_names_what_fails(self, params, message):
+        assert not is_admissible(params)
+        with pytest.raises(InadmissibleParameters) as info:
+            require_admissible(params)
+        assert str(info.value) == message
 
     @given(st.permutations(list(range(1, 8))))
     def test_invariant_under_permutation_of_r(self, perm):
