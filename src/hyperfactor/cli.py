@@ -7,8 +7,8 @@ command, by the table in ``errors.py``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
+import functools
 import gc
 import io
 import json
@@ -236,6 +236,8 @@ def cmd_sweep(args) -> int:
 
     rows, died = [], None
     if args.jobs > 1 and cells:
+        import concurrent.futures   # here, so that no other command pays for loading it
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(cells), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(run_sweep_cell, cell) for cell in cells]
@@ -271,7 +273,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared.
+
+    Callers must not change it. It holds no command functions: ``main``
+    looks each command up by name when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperfactor",
         description="Extend partial r-factorizations of complete uniform hypergraphs.")
@@ -284,12 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attempt best-effort extension below the bound")
     ext.add_argument("--seed", type=int, default=None, help="shuffle greedy order")
     ext.add_argument("--trace", action="store_true", help="emit JSONL trace on stderr")
-    ext.set_defaults(func=cmd_extend)
 
     ver = sub.add_parser("verify", help="independently verify a certificate")
     ver.add_argument("certificate", help="certificate JSON document")
     ver.add_argument("instance", help="instance JSON document")
-    ver.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("gen", help="generate a random valid instance")
     gen.add_argument("--n", type=int, required=True)
@@ -299,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--r", default="ones", help="'ones', 'uniform:R', or '2,2,1,...'")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("-o", "--output", default="-")
-    gen.set_defaults(func=cmd_gen)
 
     swp = sub.add_parser("sweep", help="run a grid of cells and emit CSV")
     swp.add_argument("--h", required=True, help="span, e.g. '2' or '2..4'")
@@ -311,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--jobs", type=int, default=1)
     swp.add_argument("--force", action="store_true")
     swp.add_argument("-o", "--output", default="-")
-    swp.set_defaults(func=cmd_sweep)
 
     bar = sub.add_parser("baranyai", help="factorize lambda K_n^h from scratch")
     bar.add_argument("--n", type=int, required=True)
@@ -322,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     bar.add_argument("--force", action="store_true")
     bar.add_argument("--seed", type=int, default=None)
     bar.add_argument("--trace", action="store_true")
-    bar.set_defaults(func=cmd_baranyai)
 
     return parser
 
@@ -333,8 +336,12 @@ def main(argv=None) -> int:
     The pipeline, the verifier and the documents make no reference cycles, so
     the cyclic collector is paused while a command runs and then restored.
     ``sweep`` keeps it: its ``--jobs`` workers are forked and would inherit it off.
+    The parser is built once per process; the command function is looked up by
+    name here, at call time, so a replaced ``cmd_*`` is the one that runs.
     """
     args = build_parser().parse_args(argv)
+    command = {"extend": cmd_extend, "verify": cmd_verify, "gen": cmd_gen,
+               "sweep": cmd_sweep, "baranyai": cmd_baranyai}[args.command]
     env = os.environ.get(SEED_ENV)
     pause = args.command != "sweep" and gc.isenabled()
     try:
@@ -345,7 +352,7 @@ def main(argv=None) -> int:
                 raise BadArgument(f"{SEED_ENV}={env!r} is not an integer") from None
         if pause:
             gc.disable()
-        return args.func(args)
+        return command(args)
     except HyperfactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

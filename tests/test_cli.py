@@ -383,6 +383,146 @@ class TestCollectorPause:
         assert gc.isenabled()
 
 
+# The commands of TestParserReuse, each with its HYPERFACTOR_SEED (None: unset).
+# Names in capitals are input files; OUT is a fresh output path per command.
+REUSE_SEQUENCE = [
+    (["extend", "INST9", "-o", "OUT", "--seed", "5"], None),
+    (["extend", "INST9", "-o", "OUT"], None),
+    (["extend", "WORKED"], None),
+    (["extend", "WORKED", "--force", "-o", "OUT"], None),
+    (["extend", "BELOW"], None),
+    (["extend", "NOT_JSON"], None),
+    (["extend", "WORKED", "-o", "MISSING"], None),
+    (["extend", "WORKED"], "abc"),
+    (["extend", "INST9", "-o", "OUT"], "5"),
+    (["verify", "CERT9", "INST9"], None),
+    (["verify", "BROKEN", "WORKED"], None),
+    (["verify", "CERT9"], None),
+    (["verify", "--bogus", "CERT9", "INST9"], None),
+    (["gen", "--n", "9", "--m", "3", "--h", "3", "--r", "ones", "--seed", "9", "-o", "OUT"],
+     None),
+    (["gen", "--n", "9", "--m", "3", "--h", "3", "--r", "ones", "-o", "OUT"], None),
+    (["gen", "--n", "6", "--m", "3", "--h", "2"], None),
+    (["gen", "--n", "6", "--m", "3", "--h", "2", "--lambda", "2", "--r", "uniform:2"], None),
+    (["gen", "--n", "6", "--m", "3", "--h", "2"], "abc"),
+    (["gen", "--n", "6", "--m", "3", "--h", "2"], "77"),
+    (["gen", "--n", "x", "--m", "3", "--h", "2"], None),
+    (["gen", "--n", "5", "--m", "2", "--h", "2", "--r", "1,x"], None),
+    (["sweep", "--h", "2", "--m", "2", "--n", "4"], None),
+    (["sweep", "--h", "2", "--m", "2..3", "--n", "2m..2m+1", "--seeds", "2", "-o", "OUT"],
+     None),
+    (["sweep", "--h", "2", "--m", "2", "--n", "4", "--jobs", "0"], None),
+    (["sweep", "--h", "2", "--m", "2m", "--n", "5"], None),
+    (["baranyai", "--n", "6", "--h", "2", "-o", "OUT"], None),
+    (["baranyai", "--n", "6", "--h", "2", "--seed", "3"], None),
+    (["baranyai", "--n", "7", "--h", "3"], None),
+    ([], None),
+    (["frobnicate"], None),
+    (["extend"], None),
+    (["--help"], None),
+    (["extend", "--help"], None),
+    (["sweep", "--help"], None),
+]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no output."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, worked_path):
+        inst9 = tmp_path / "inst9.json"
+        assert run_cli(["gen", "--n", "9", "--m", "3", "--h", "3", "--r", "ones",
+                        "--seed", "9", "-o", str(inst9)]) == 0
+        cert9 = tmp_path / "cert9.json"
+        assert run_cli(["extend", str(inst9), "-o", str(cert9)]) == 0
+        below = {"n": 12, "m": 4, "h": 3, "lambda": 1, "r": [1] * binom(11, 2),   # see exit 3
+                 "edges": [{"support": list(s), "alpha": 0, "colors": {str(i + 1): 1}}
+                           for i, s in enumerate([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])]}
+        files = {"WORKED": worked_path, "INST9": str(inst9), "CERT9": str(cert9)}
+        for name, text in (("BELOW", json.dumps(below)), ("NOT_JSON", "{nope"),
+                           ("BROKEN", json.dumps({**json.loads(WORKED_DOC), "report": {}}))):
+            files[name] = str(tmp_path / f"{name.lower()}.json")
+            with open(files[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        files["MISSING"] = str(tmp_path / "missing" / "cert.json")
+        return files
+
+    @staticmethod
+    def _run(argv, env, files, out, monkeypatch, capsys):
+        """(exit code, stdout, stderr, -o bytes) of one command; sweep millis are blanked."""
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV, env)
+        if os.path.exists(out):
+            os.remove(out)
+        argv = [out if arg == "OUT" else files.get(arg, arg) for arg in argv]
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse's own exits
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        written = open(out, "rb").read() if os.path.exists(out) else None
+        if argv[:1] == ["sweep"]:
+            def blank(text):
+                rows = list(csv.DictReader(io.StringIO(text)))
+                return [{**row, "millis": ""} for row in rows]
+            stdout = blank(captured.out)
+            written = written and blank(written.decode())
+        else:
+            stdout = captured.out
+        return code, stdout, captured.err, written
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("order", ["forwards", "reversed"])
+    def test_reused_parser_matches_a_fresh_one(self, order, inputs, tmp_path, monkeypatch,
+                                               capsys):
+        steps = list(enumerate(REUSE_SEQUENCE))
+        if order == "reversed":
+            steps.reverse()
+        out = {i: str(tmp_path / f"out{i}") for i, _ in steps}
+        reused = {i: self._run(argv, env, inputs, out[i], monkeypatch, capsys)
+                  for i, (argv, env) in steps}
+        for i, (argv, env) in steps:
+            cli.build_parser.cache_clear()
+            fresh = self._run(argv, env, inputs, out[i], monkeypatch, capsys)
+            assert reused[i] == fresh, argv
+        # Seeds change these outputs, so a --seed carried into the next call would show.
+        assert reused[0][3] != reused[1][3] and reused[13][3] != reused[14][3]
+        codes = [reused[i][0] for i in range(len(REUSE_SEQUENCE))]
+        assert codes == [0, 0, 0, 0, 3, 4, 2, 2, 0, 0, 1, ("SystemExit", 2), ("SystemExit", 2),
+                         0, 0, 0, 0, 2, 0, ("SystemExit", 2), 2, 0, 0, 2, 2, 0, 0, 2,
+                         ("SystemExit", 2), ("SystemExit", 2), ("SystemExit", 2),
+                         ("SystemExit", 0), ("SystemExit", 0), ("SystemExit", 0)]
+
+    @pytest.mark.parametrize("argv", [
+        ["extend", "WORKED", "-o", "CERT"],
+        ["verify", "CERT", "WORKED"],
+        ["gen", "--n", "9", "--m", "3", "--h", "3", "--seed", "4"],
+    ], ids=["extend", "verify", "gen"])
+    def test_a_command_leaves_no_cyclic_garbage(self, argv, worked_path, tmp_path, capsys):
+        cert = str(tmp_path / "cert.json")
+        argv = [{"WORKED": worked_path, "CERT": cert}.get(arg, arg) for arg in argv]
+        assert run_cli(["extend", worked_path, "-o", cert]) == 0   # warm-up
+        gc.collect()
+        assert run_cli(argv) == 0
+        assert gc.collect() == 0
+
+    def test_importing_the_cli_leaves_the_pool_module_unloaded(self):
+        package_parent = os.path.dirname(os.path.dirname(hyperfactor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyperfactor.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+
 class TestDeterminism:
     def test_extend_byte_identical(self, worked_path, tmp_path):
         outs = []
