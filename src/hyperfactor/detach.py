@@ -223,14 +223,15 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     holders: list[set[int]] = [set() for _ in col_left]
     for r, (held, row_moves) in enumerate(zip(tp.held, moves)):
         left = row_left[r]
-        for j, cap in held.items():
+        if not left:
+            continue
+        for j in filter(col_left.__getitem__, held):   # the row's colors with demand left
+            pushed = row_moves[j] = min(left, held[j], col_left[j])
+            col_left[j] -= pushed
+            holders[j].add(r)
+            left -= pushed
             if not left:
                 break
-            if col_left[j]:
-                pushed = row_moves[j] = min(left, cap, col_left[j])
-                col_left[j] -= pushed
-                holders[j].add(r)
-                left -= pushed
         row_left[r] = left
     unplaced, stalled = sum(row_left), False
     while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders):

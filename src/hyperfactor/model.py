@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, groupby, islice, repeat
 from operator import getitem, itemgetter, lt
 
 from .combinatorics import binom
@@ -50,7 +50,7 @@ class Parameters:
             raise ValueError(f"edge multiplicity must be >= 1, got {self.lam}")
         if len(self.r) < 1:
             raise ValueError("need at least one color")
-        if any(rj < 1 for rj in self.r):
+        if min(self.r) < 1:
             raise ValueError(f"target degrees must be >= 1, got {self.r}")
         object.__setattr__(self, "r", tuple(self.r))
         check_size(self.n, self.h, self.k)
@@ -251,7 +251,10 @@ def _parse_params(doc: dict) -> Parameters:
     r_raw = doc["r"]
     if not isinstance(r_raw, list):
         raise SchemaError("expected a list", "$.r")
-    r = tuple(_require_int(x, f"$.r[{i}]") for i, x in enumerate(r_raw))
+    if not {int}.issuperset(map(type, r_raw)):   # rejects true and 1.0, as _require_int does
+        for i, x in enumerate(r_raw):
+            _require_int(x, f"$.r[{i}]")
+    r = tuple(r_raw)
     try:
         return Parameters(n=n, m=m, h=h, lam=lam, r=r)
     except ValueError as exc:
@@ -265,11 +268,14 @@ class _BadField(Exception):
 def _parse_edges(doc: dict, params: Parameters, max_vertex: int) -> list[EdgeClass]:
     """The edge classes of a document, merged per support, sorted, with no zero counts.
 
-    An array in ``extend``'s order is decided in bulk (``_canonical_edges``).
-    Any other is walked entry by entry (``_walk_edges``): the walk merges and
-    sorts a valid document, and names the first error of a damaged one. Color
-    labels are checked once per distinct label present, so the cost follows
-    the labels a document holds, not k.
+    An array in ``extend``'s order is decided in bulk (``_canonical_edges``),
+    which consumes the decoded document: it empties ``doc["edges"]`` and
+    hands the decoded color maps to the classes, so a certificate is held
+    once, not as a document and as classes side by side. Any other array is
+    walked entry by entry (``_walk_edges``) as it was decoded: the walk merges
+    and sorts a valid document, and names the first error of a damaged one.
+    Color labels are checked once per distinct label present, so the cost
+    follows the labels a document holds, not k.
     """
     entries = doc["edges"]
     if not isinstance(entries, list):
@@ -287,7 +293,13 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
     with int counts >= 1 under labels in [1, k], and the supports strictly
     ascending, the order ``extend`` writes. ``type(v) is int`` rejects true
     and 1.0, which compare equal to 1. A document that fails any test, valid
-    or not (out of order or with a repeated support, say), is left to the walk.
+    or not (out of order or with a repeated support, say), is left to the
+    walk untouched.
+
+    Once every test has passed, the array is consumed: ``entries`` is
+    cleared, so the entry objects are freed before any class is built, and
+    each one-color map is relabelled in place to ``{color: count}`` and
+    becomes its class's map.
     """
     if not entries:
         return []
@@ -298,18 +310,18 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
     except KeyError:
         return None
     h = params.h
-    if not ({list}.issuperset(map(type, supports)) and {h}.issuperset(map(len, supports))):
+    if not ({int}.issuperset(map(type, alphas)) and not any(alphas)
+            and {list}.issuperset(map(type, supports)) and {h}.issuperset(map(len, supports))
+            and {int}.issuperset(map(type, chain.from_iterable(supports)))):
         return None
-    vertices = list(chain.from_iterable(supports))
-    columns = [vertices[i::h] for i in range(h)]   # column i holds each support's i-th vertex
-    if not ({int}.issuperset(map(type, vertices))
-            and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+    del alphas   # each list is dropped once checked, so it adds nothing to the peak
+    columns = [list(map(itemgetter(i), supports)) for i in range(h)]   # each support's i-th vertex
+    if not (all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
             and min(columns[0]) >= 1 and max(columns[-1]) <= max_vertex
-            and all(map(lt, supports, supports[1:]))
-            and {int}.issuperset(map(type, alphas)) and not any(alphas)
+            and all(map(lt, supports, islice(supports, 1, None)))
             and {dict}.issuperset(map(type, maps)) and all(maps)):
         return None
-    del vertices, columns, alphas   # dropped once checked, so they add nothing to the peak
+    del columns
     labels = list(chain.from_iterable(maps))
     one_color = len(labels) == len(maps)   # no map is empty, so each holds exactly one
     counts = (list(map(getitem, maps, labels)) if one_color
@@ -320,8 +332,14 @@ def _canonical_edges(entries: list, params: Parameters, max_vertex: int) -> list
         color_of = {label: _color_index(label, params.k) for label in set(labels)}
     except _BadField:
         return None
-    colors = ([{color_of[label]: cnt} for label, cnt in zip(labels, counts)] if one_color
-              else [{color_of[label]: cnt for label, cnt in labelled.items()} for labelled in maps])
+    entries.clear()   # every test passed: free the entry objects before the classes are built
+    if one_color:   # each decoded map becomes its class's map, relabelled in place
+        for labelled, label, cnt in zip(maps, labels, counts):
+            labelled.clear()
+            labelled[color_of[label]] = cnt
+        colors = maps
+    else:
+        colors = [{color_of[label]: cnt for label, cnt in labelled.items()} for labelled in maps]
     del labels, counts, maps
     return list(map(EdgeClass, map(tuple, supports), repeat(0), colors))
 
@@ -434,21 +452,30 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(params=params, coloring=coloring, report=report)
 
 
-def _edges_text(coloring: list[EdgeClass]) -> str:
-    """The canonical ``edges`` array as JSON text, written one class at a time."""
-    merged: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-    for cls in coloring:
-        key, more = cls.key(), cls.colors
-        counts = merged.get(key)
-        merged[key] = more if counts is None else {   # a repeated class: sum into a new map
-            j: counts.get(j, 0) + more.get(j, 0) for j in counts.keys() | more.keys()}
-    entries = []
-    for (support, alpha), counts in sorted(merged.items()):
+def _document_pieces(params: Parameters, coloring: list[EdgeClass], tail: str):
+    """A document's text in pieces: the parameters, the canonical ``edges`` array, then ``tail``.
+
+    The classes are sorted by key, one linear pass when they already are (the
+    engine and the parser give them sorted), and grouped in that one pass:
+    a repeated class's maps are summed into a new map, and any other class is
+    written from its own map. Each entry is one piece, so the serializers'
+    one join is the only copy of the array's text.
+    """
+    yield _params_text(params)
+    yield ',"edges":['
+    sep = ""
+    for (support, alpha), group in groupby(sorted(coloring, key=EdgeClass.key), EdgeClass.key):
+        counts = next(group).colors
+        for cls in group:   # a repeated class: sum into a new map
+            more = cls.colors
+            counts = {j: counts.get(j, 0) + more.get(j, 0) for j in counts.keys() | more.keys()}
         colors = ",".join([f'"{j + 1}":{cnt}' for j, cnt in sorted(counts.items()) if cnt])
         if colors:
             vertices = ",".join(map(str, support))
-            entries.append(f'{{"support":[{vertices}],"alpha":{alpha},"colors":{{{colors}}}}}')
-    return f"[{','.join(entries)}]"
+            yield f'{sep}{{"support":[{vertices}],"alpha":{alpha},"colors":{{{colors}}}}}'
+            sep = ","
+    yield "]"
+    yield tail
 
 
 def _params_text(params: Parameters) -> str:
@@ -460,9 +487,11 @@ def _params_text(params: Parameters) -> str:
 def serialize_instance(inst: Instance) -> str:
     """Canonical single-line JSON; round-trips through parse_instance.
 
-    The edge classes are written as text, in the bytes ``json.dumps`` gives.
+    The edge classes are written as text, in the bytes ``json.dumps`` gives,
+    grouped per key in one pass over the sorted coloring and joined once
+    (``_document_pieces``).
     """
-    return f'{_params_text(inst.params)},"edges":{_edges_text(inst.coloring)}}}\n'
+    return "".join(_document_pieces(inst.params, inst.coloring, "}\n"))
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -471,4 +500,4 @@ def serialize_certificate(cert: Certificate) -> str:
     Edges are written as in ``serialize_instance``; the report goes through ``json.dumps``.
     """
     report = json.dumps(cert.report if cert.report is not None else {}, separators=(",", ":"))
-    return f'{_params_text(cert.params)},"edges":{_edges_text(cert.coloring)},"report":{report}}}\n'
+    return "".join(_document_pieces(cert.params, cert.coloring, f',"report":{report}}}\n'))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,14 @@ class TestSerialization:
         assert edges == [{"support": [1, 2], "alpha": 0, "colors": {"1": 2, "3": 1}}]
         assert [c.colors for c in inst.coloring] == [{0: 1}, {0: 1, 2: 1}]   # left as they were
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_non_integer_target_degree_is_located(self, bad):
+        doc = json.loads(WORKED_DOC)
+        doc["r"] = [1, 1, 1, bad, 1]
+        with pytest.raises(SchemaError) as err:
+            parse_instance(json.dumps(doc))
+        assert (err.value.reason, err.value.location) == ("expected an integer", "$.r[3]")
+
     def test_certificate_requires_report(self):
         with pytest.raises(SchemaError):
             parse_certificate(WORKED_DOC)
@@ -364,6 +373,63 @@ class TestSerializerReference:
         cert = extend_instance(inst, seed=seed)
         self.check(params, inst.coloring, {})
         self.check(params, cert.coloring, verify_certificate(cert, inst).to_json())
+
+    @pytest.mark.parametrize("coloring", [
+        [EdgeClass((1, 2), 0, {0: 1}), EdgeClass((1, 3), 0, {1: 1}),
+         EdgeClass((1, 3), 0, {1: 2, 3: 1}), EdgeClass((2, 3), 0, {2: 3})],   # a key repeated
+        [EdgeClass((2, 3), 0, {2: 3}), EdgeClass((1, 3), 1, {0: 1}),
+         EdgeClass((1, 3), 0, {1: 1}), EdgeClass((1, 2), 0, {0: 1, 3: 2})],   # reversed
+        [EdgeClass((1, 2), 0, {0: 1}), EdgeClass((1, 3), 0, {1: 0, 2: 0}),
+         EdgeClass((2, 3), 0, {2: 3})],                                       # an all-zero class
+    ], ids=["repeated", "reversed", "all-zero"])
+    def test_grouping(self, coloring):
+        params = Parameters(n=5, m=3, h=2, lam=3, r=(3, 3, 3, 3))
+        self.check(params, coloring, {"pass": True, "failures": []})
+
+
+class TestOneCopyInMemory:
+    """Parsing or writing a certificate holds about one copy of it.
+
+    Peaks are traced allocations (tracemalloc) on ones-certificates, after a
+    warm-up call. A parse must decode the whole document, so its peak is
+    bounded by the decoded document's own: a parse that kept the document
+    beside the classes it builds peaked at 1.66-1.77x ``json.loads``'s peak
+    on the same text. (The document alone is 1.5x the certificate the parse
+    returns on Python 3.11 and 1.8x on 3.10.) A serializer that built the
+    whole array's text and then copied it into the document peaked above 5x
+    the text.
+    """
+
+    @pytest.fixture(scope="class", params=[(2, 15, 60), (3, 6, 21)], ids=["h2-n60", "h3-n21"])
+    def text(self, request):
+        h, m, n = request.param
+        inst = random_instance(Parameters(n=n, m=m, h=h, lam=1, r=(1,) * binom(n - 1, h - 1)),
+                               seed=1)
+        cert = extend_instance(inst, seed=1)
+        cert.report = verify_certificate(cert, inst).to_json()
+        return serialize_certificate(cert)
+
+    @staticmethod
+    def traced(call, arg):
+        call(arg)   # warm-up: what the first call creates lazily is not the call's own
+        tracemalloc.start()
+        try:
+            result = call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_parse_peak_is_at_most_1_2x_the_decoded_document(self, text):
+        cert, peak = self.traced(parse_certificate, text)
+        _, decoded_peak = self.traced(json.loads, text)
+        assert serialize_certificate(cert) == text
+        assert peak <= 1.2 * decoded_peak, (peak, decoded_peak)
+
+    def test_serialize_peak_is_at_most_5x_the_text(self, text):
+        written, peak = self.traced(serialize_certificate, parse_certificate(text))
+        assert written == text
+        assert peak <= 5 * len(text), (peak, len(text))
 
 
 class TestParseErrorLocations:
