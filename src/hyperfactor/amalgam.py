@@ -32,14 +32,17 @@ class AmalgamState:
 
     ``classes`` holds one ``EdgeClass`` per class key, the type documents use
     too, each with its sparse ``{color: count}`` map; it is the one map of
-    every class. ``live`` indexes the keys of the classes with amalgam slots,
-    in creation order, and ``finished`` the level-0 classes' maps; ``get_class``
-    and the detach step's delete keep both in step with ``classes``. Write-once
-    rule: a class gains its colors from one writer (the input, the greedy once
-    per level class, the quotas, or a detach target's one donor), and later
-    steps only take copies from live maps. ``sealed`` holds the copy of each
-    finished map ``check`` has counted, interned by content in ``seals``. A
-    live map lists its colors ascending, as its writer filled it.
+    every class. ``live`` maps the key of each class with amalgam slots, in
+    creation order, to its color mask: bit j is set when the class's map
+    holds color j, which the detach solver reads instead of the map's keys.
+    ``finished`` lists the level-0 classes' maps; ``get_class`` and the detach
+    step's delete keep both in step with ``classes``. Write-once rule: a class
+    gains its colors from one writer (the input, the greedy once per level
+    class, the quotas, or a detach target's one donor), which also sets its
+    mask, and later steps only take copies from live maps, clearing the bit
+    of a color they empty. ``sealed`` holds the copy of each finished map
+    ``check`` has counted, interned by content in ``seals``. A live map lists
+    its colors ascending, as its writer filled it.
     ``degrees`` maps each original vertex 1..m to its dense per-color
     degrees; only the greedy levels and ``finish_levels`` read it.
     ``detached`` counts already-split vertices (ids m+1..m+detached);
@@ -53,7 +56,7 @@ class AmalgamState:
     classes: dict[ClassKey, EdgeClass]
     degrees: dict[int, list[int]]
     level_done: int
-    live: dict[ClassKey, None] = field(default_factory=dict)
+    live: dict[ClassKey, int] = field(default_factory=dict)
     finished: list[dict[int, int]] = field(default_factory=list)
     sealed: list[dict[int, int]] = field(default_factory=list)
     seals: dict[tuple, dict[int, int]] = field(default_factory=dict)
@@ -67,11 +70,12 @@ class AmalgamState:
 
         Every class (X, i) holds lambda * C(q, i) copies, the live classes
         weigh r_j * q in each color j (sum i * count_j, the amalgam's degree),
-        every class is live or finished, and at q = 0 none is live. Each live
-        cell is recounted, and each finished map is counted once, then
-        compared at C speed with its sealed copy; a failure names its class
-        or color. It runs after the quotas, and after a detach step that ran
-        a hook or whose own sums or counts are off (see ``detach_step``).
+        every class is live or finished, at q = 0 none is live, and, tested
+        last, every live mask equals its map's colors. Each live cell is
+        recounted, and each finished map is counted once, then compared at C
+        speed with its sealed copy; a failure names its class or color. It
+        runs after the quotas, and after a detach step that ran a hook or
+        whose own sums or counts are off (see ``detach_step``).
         """
         p, q = self.params, self.weight
         per_level = [p.lam * binom(q, i) for i in range(p.h + 1)]
@@ -104,6 +108,11 @@ class AmalgamState:
                     f"color {j}: live classes weigh {w}, expected {rj * q}")
         if not q and live:
             raise InternalInvariantViolation(f"class {min(live)} kept amalgam slots")
+        for key, mask in live.items():
+            held = sum(map((1).__lshift__, classes[key].colors))
+            if mask != held:
+                raise InternalInvariantViolation(
+                    f"class {key} has color mask {mask:#x}, but holds colors {held:#x}")
 
     def get_class(self, support: tuple[int, ...], amalgam: int) -> EdgeClass:
         key = (support, amalgam)
@@ -111,7 +120,7 @@ class AmalgamState:
         if cls is None:
             cls = self.classes[key] = EdgeClass(support=support, amalgam=amalgam, colors={})
             if amalgam:
-                self.live[key] = None
+                self.live[key] = 0
             else:
                 self.finished.append(cls.colors)
         return cls
@@ -156,8 +165,8 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
     Degrees only grow while the class is colored, so a color with no
     residual never regains one, and a single pass matches the copy-by-copy
     greedy with the same preference order. The takes fill the empty map
-    once, ascending (``AmalgamState``'s write-once rule), before copies left
-    raise GreedyStuck.
+    and set its mask once, ascending (``AmalgamState``'s write-once rule),
+    before copies left raise GreedyStuck.
     """
     r = state.params.r
     rows = [state.degrees[v] for v in cls.support]
@@ -174,6 +183,7 @@ def _color_class(state: AmalgamState, cls: EdgeClass, copies: int, order: list[i
         for row in rows:
             row[j] += take
     cls.colors.update(sorted(taken))
+    state.live[cls.key()] = sum(1 << j for j, _ in taken)
     if copies:
         raise GreedyStuck(cls.support, cls.amalgam)
 
@@ -250,7 +260,7 @@ def assign_level_h(state: AmalgamState, quotas: list[int]) -> AmalgamState:
 
     ``quotas[j]`` is what ``finish_levels`` returns: the copies of color j
     the class ((), h) must take. Each must be nonnegative. Writes only that
-    class and ends with ``state.check()``: the classes weigh r_j * (n - m)
+    class, its map and its mask, and ends with ``state.check()``: the classes weigh r_j * (n - m)
     in every color, the amalgam's degree, and every class holds all its
     copies.
     """
@@ -264,6 +274,7 @@ def assign_level_h(state: AmalgamState, quotas: list[int]) -> AmalgamState:
     top = {j: quota for j, quota in enumerate(quotas) if quota}
     if top:
         state.get_class((), p.h).colors = top
+        state.live[(), p.h] = sum(map((1).__lshift__, top))
 
     state.level_done = p.h
     state.check()

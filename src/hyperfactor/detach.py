@@ -24,13 +24,23 @@ row is its class's own ``{color: count}`` map, read in place: the solver
 never writes it and copies no cell of it, so a step touches only the cells
 a class holds. The maps stay the problem's rows until the step's walk
 applies the plan. The plan is sparse the same way, one ``{color: moved}``
-map per row, sorted once when the solver is done. By the witness above a
-transport that falls short is a bug, so it raises InternalInvariantViolation.
+map per row. By the witness above a transport that falls short is a bug, so
+it raises InternalInvariantViolation.
+
+The solver picks arcs on bitmasks, not cell by cell. ``AmalgamState.live``
+keeps each live class's color mask (bit j set when the map holds color j),
+and the problem hands the rows' masks over. The solver copies them as
+residual masks: a row's held colors minus its saturated cells. Each choice
+is then a lowest set bit: the greedy's of the row's residual and the colors
+with demand left, the DFS's of the row's residual and the next level's
+colors. That is the arc a scan of the row's colors, ascending, reaches,
+because within a phase an arc that is invalid stays invalid (see
+``_later_phase``). The greedy writes each plan row ascending, so only the
+rows a later phase added to are sorted again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 
 from .combinatorics import binom
 from .errors import InternalInvariantViolation
@@ -55,6 +65,7 @@ class TransportationProblem:
     supplies: list[int]
     demands: list[int]
     held: list[dict[int, int]]
+    masks: list[int] | None = None
 
     @property
     def caps(self) -> list:
@@ -91,76 +102,75 @@ def build_transportation(state: AmalgamState) -> TransportationProblem:
     rows = sorted(state.live)
     supplies = [donation[key[1]] for key in rows]
     return TransportationProblem(rows=rows, supplies=supplies, demands=list(p.r),
-                                 held=[state.classes[key].colors for key in rows])
+                                 held=[state.classes[key].colors for key in rows],
+                                 masks=list(map(state.live.__getitem__, rows)))
 
 
 def _later_phase(tp: TransportationProblem, moves: list[dict[int, int]], row_left: list[int],
-                 col_left: list[int], holders: list[set[int]]) -> bool:
+                 col_left: list[int], holders: list[set[int]], resid: list[int],
+                 rerouted: set[int]) -> bool:
     """Push one Dinic blocking flow; False if the sink is out of reach.
 
     Rows are nodes 0..R-1 and colors R..R+k-1; the source and the sink are
     implicit. ``holders[j]`` holds the rows that send color j flow: its
-    residual arcs back to rows. A row's arcs are its ``held`` items, read
-    through an iterator over the map that the DFS starts the first time it
-    enters the row in the phase. The row keeps its current arc and resumes
-    the scan past it: a cell that leads a level up only gains flow in the
-    phase, so the scan passes over just what a per-node arc list would have
-    popped. A level's scan stops once every color is labelled. The BFS stops
-    at the first color level that holds demand and unlabels that level's
-    colors with none: no row sits past the sink. So a labelled color has
-    demand only at the sink's level; it pushes to the sink, any other
-    reroutes through its holders.
+    residual arcs back to rows. ``resid[r]`` is row r's residual mask: the
+    colors it holds minus its saturated cells. The BFS labels a level's
+    colors at once, as the OR of its rows' residual masks less the colors
+    labelled before, and keeps one mask of colors per level. It stops at the
+    first color level that holds demand and clears that level's colors with
+    none: no row sits past the sink. So a labelled color has demand only at
+    the sink's level; it pushes to the sink, any other reroutes through its
+    holders.
+
+    At a row the DFS takes the lowest set bit of its residual mask and the
+    next level's colors. A forward arc (row, color) one level up is never
+    made valid again in the phase: it could regain residual only from a push
+    back along it, which needs the color a level below the row, and a color
+    leaves its level's mask only when it dies. So every arc below the lowest
+    valid bit was invalid when a current-arc scan of the row's colors,
+    ascending, would have passed it, and the lowest valid bit is the arc
+    that scan reaches. Rows that gain flow in a cell go into ``rerouted``.
     """
     held, num_rows = tp.held, len(row_left)
-    level = [1 if left else -1 for left in row_left] + [-1] * len(col_left)
-    frontier = [r for r, left in enumerate(row_left) if left]
-    depth, unlabelled = 1, len(col_left)
+    open_colors = sum(1 << j for j, left in enumerate(col_left) if left)
+    level = [1 if left else -1 for left in row_left]
+    frontier = sources = [r for r, left in enumerate(row_left) if left]
+    colors_at, labelled = [0, 0], 0   # colors_at[d]: the live colors at level d (even d)
     while True:   # the BFS, a level at a time; rows at the sink's level would be dead ends
-        reached = []
+        reach = 0
         for r in frontier:
-            row_moves = moves[r]
-            for j, cap in held[r].items():
-                if level[num_rows + j] < 0 and row_moves.get(j, 0) < cap:
-                    level[num_rows + j] = depth + 1
-                    reached.append(j)
-            if len(reached) == unlabelled:   # later rows have no color left to label
-                break
-        depth, unlabelled = depth + 2, unlabelled - len(reached)
-        if not reached or any(map(col_left.__getitem__, reached)):
+            reach |= resid[r]
+        reach &= ~labelled
+        labelled |= reach
+        colors_at += (reach, 0)
+        if not reach or reach & open_colors:
             break
-        frontier = list(dict.fromkeys(r for j in reached for r in holders[j] if level[r] < 0))
-        for r in frontier:
-            level[r] = depth
-    if not reached:
+        depth, frontier = len(colors_at) - 1, []
+        while reach:
+            bit = reach & -reach
+            reach ^= bit
+            for r in holders[bit.bit_length() - 1]:
+                if level[r] < 0:
+                    level[r] = depth
+                    frontier.append(r)
+    if not reach:
         return False
-    for j in filterfalse(col_left.__getitem__, reached):
-        level[num_rows + j] = -1
+    colors_at[-2] = reach & open_colors
 
-    # a row's current (color, cap) arc, and an iterator over its held items past that arc
-    current, scans = [None] * num_rows, [None] * num_rows
     untried: list[list | None] = [None] * len(col_left)
     path: list[tuple[int, int]] = []   # (row, color): forward at even positions, backward at odd
-    for first in range(num_rows):      # the source's arcs; it keeps one until it is shut
+    for first in sources:   # the rows with supply left, each keeping its source arc until shut
         u = first
         while row_left[first] and level[first] == 1:
             if u < num_rows:
-                row_moves, up, arc = moves[u], level[u] + 1, current[u]
-                if arc is None or not (level[num_rows + arc[0]] == up
-                                       and row_moves.get(arc[0], 0) < arc[1]):
-                    if arc is None:   # the row's first entry in the phase
-                        scans[u] = iter(held[u].items())
-                    for arc in scans[u]:
-                        if level[num_rows + arc[0]] == up and row_moves.get(arc[0], 0) < arc[1]:
-                            break
-                    else:
-                        arc = None
-                    current[u] = arc
-                if arc is not None:
+                arcs = resid[u] & colors_at[level[u] + 1]
+                if arcs:
                     if len(path) >= 2 * num_rows:   # a level-graph path holds each row once
                         raise InternalInvariantViolation(
                             f"a flow path outgrew {num_rows} rows at row {tp.rows[u]}")
-                    path.append((u, arc[0]))
-                    u = num_rows + arc[0]
+                    j = (arcs & -arcs).bit_length() - 1
+                    path.append((u, j))
+                    u = num_rows + j
                 else:
                     level[u] = -1   # a dead end stays one for the rest of the phase
                     u = num_rows + path.pop()[1] if path else u
@@ -176,27 +186,32 @@ def _later_phase(tp: TransportationProblem, moves: list[dict[int, int]], row_lef
                 row_left[first] -= pushed
                 col_left[j] -= pushed
                 for r, c in path[0::2]:
-                    moves[r][c] = moves[r].get(c, 0) + pushed
+                    moved = moves[r][c] = moves[r].get(c, 0) + pushed
+                    if moved == held[r][c]:
+                        resid[r] &= ~(1 << c)
                     holders[c].add(r)
+                    rerouted.add(r)
                 for r, c in path[1::2]:
                     moves[r][c] -= pushed
+                    resid[r] |= 1 << c
                     if not moves[r][c]:
                         del moves[r][c]
                         holders[c].remove(r)
                 path.clear()
                 u = first
                 continue
+            depth = len(path) + 1   # the color's level
             arcs = untried[j]
             if arcs is None:   # the rows sending j flow, by row
                 arcs = untried[j] = sorted(
-                    (r for r in holders[j] if level[r] == level[u] + 1), reverse=True)
+                    (r for r in holders[j] if level[r] == depth + 1), reverse=True)
             while arcs and not (j in moves[arcs[-1]] and level[arcs[-1]] >= 0):
                 arcs.pop()
             if arcs:
                 path.append((arcs[-1], j))
                 u = arcs[-1]
             else:
-                level[u] = -1
+                colors_at[depth] &= ~(1 << j)   # a dead color
                 u = path.pop()[0]
     return True
 
@@ -206,35 +221,52 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
 
     Dinic's max-flow on source -> rows -> colors -> sink, arcs in row order
     and each row's colors ascending, with residuals kept as supply left per
-    row, demand left per color and one ``{color: moved}`` map per row, a cell
-    deleted once its move is back to zero. The first phase has no flow to
-    reroute, so rows sit at level 1, colors at 2, the sink at 3, and its DFS,
-    taking the first open arc each time, fills each row's cells in order:
-    that greedy is the phase. A later phase labels the same levels and tries
-    the same arcs in the same order (at a row its colors ascending, at a color
-    the sink or else the rows sending it flow, by row), so every push is the
-    generic Dinic's. A row left short raises InternalInvariantViolation naming
-    it, as does a later phase, or a path in one, that pushes no unit. The
-    rows read ``tp.held`` in place; the plan is each row's map of moves,
-    sorted once by color.
+    row, demand left per color, one ``{color: moved}`` map per row, a cell
+    deleted once its move is back to zero, and one residual mask per row:
+    the colors it holds minus its saturated cells, copied from ``tp.masks``
+    (derived from ``tp.held`` when None) and never written back. The first
+    phase has no flow to reroute, so rows sit at level 1, colors at 2, the
+    sink at 3, and its DFS, taking the first open arc each time, fills each
+    row's cells in order: that greedy is the phase. It takes the lowest set
+    bit of the row's residual mask and the mask of the colors with demand
+    left, so it writes each row ascending. That bit is the cell the scan
+    reaches next: a cell the scan passed never reopens in the phase, since
+    its pushes only fill cells and use up demand. A later phase labels the
+    same levels and tries the same arcs in the same order (at a row its
+    colors ascending, at a color the sink or else the rows sending it flow,
+    by row), picking a row's arc the same way by the same argument (see
+    ``_later_phase``), so every push is the generic Dinic's. A row left short
+    raises InternalInvariantViolation naming it, as does a later phase, or a
+    path in one, that pushes no unit. The rows read ``tp.held`` in place; the
+    plan is each row's map of moves, sorted by color only if a later phase
+    added to it.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
+    resid = (list(tp.masks) if tp.masks is not None
+             else [sum(map((1).__lshift__, held)) for held in tp.held])
+    open_colors = sum(1 << j for j, left in enumerate(col_left) if left)
     moves: list[dict[int, int]] = [{} for _ in tp.held]
     holders: list[set[int]] = [set() for _ in col_left]
     for r, (held, row_moves) in enumerate(zip(tp.held, moves)):
-        left = row_left[r]
-        if not left:
-            continue
-        for j in filter(col_left.__getitem__, held):   # the row's colors with demand left
-            pushed = row_moves[j] = min(left, held[j], col_left[j])
-            col_left[j] -= pushed
-            holders[j].add(r)
+        left, arcs = row_left[r], resid[r] & open_colors
+        while left and arcs:
+            bit = arcs & -arcs
+            arcs ^= bit
+            j = bit.bit_length() - 1
+            cap = held[j]
+            pushed = row_moves[j] = min(left, cap, col_left[j])
             left -= pushed
-            if not left:
-                break
+            col_left[j] -= pushed
+            if not col_left[j]:
+                open_colors ^= bit
+            if pushed == cap:
+                resid[r] ^= bit
+            holders[j].add(r)
         row_left[r] = left
+    rerouted: set[int] = set()
     unplaced, stalled = sum(row_left), False
-    while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders):
+    while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders,
+                                                    resid, rerouted):
         stalled, unplaced = sum(row_left) == unplaced, sum(row_left)
     short = next((r for r, left in enumerate(row_left) if left), None)
     if short is not None:
@@ -243,7 +275,9 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
                 else f"max flow {want - unplaced} < required {want}")
         raise InternalInvariantViolation(
             f"{what}; row {tp.rows[short]} short by {row_left[short]}")
-    return DetachPlan(moves=[dict(sorted(row.items())) for row in moves])
+    for r in rerouted:
+        moves[r] = dict(sorted(moves[r].items()))
+    return DetachPlan(moves=moves)
 
 
 def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
@@ -255,8 +289,10 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     own target (``AmalgamState``'s write-once rule). The walk visits only the
     moved cells: it checks each 0 < move <= cap, the cap read off the row's
     map in ``tp.held`` (the class's own), before it is written, and sums the
-    moves of each row and of each color. A failed cap check leaves the state
-    partly applied; discard it. The hook sees the plan before the walk.
+    moves of each row and of each color. It clears a source's mask bit when
+    that color empties and gives a live target the mask of its moved colors.
+    A failed cap check leaves the state partly applied; discard it. The hook
+    sees the plan before the walk.
 
     The sums check the step. Row (X, i) must give lambda * C(q-1, i-1)
     copies, computed from the parameters, and color j must total r_j. That
@@ -279,10 +315,12 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
     p, q = state.params, state.weight
     gives = [p.lam * binom(q - 1, i - 1) for i in range(p.h + 1)]
     new_vertex = p.m + state.detached + 1
-    columns, wrong = [0] * p.k, None
+    live, columns, wrong = state.live, [0] * p.k, None
     for key, colors, moves in zip(tp.rows, tp.held, plan.moves):
         # the new vertex outnumbers every vertex of the support: no other row shares this target
-        target = state.get_class(key[0] + (new_vertex,), key[1] - 1).colors
+        support, level = key[0] + (new_vertex,), key[1] - 1
+        target = state.get_class(support, level).colors
+        mask, took = live[key], 0
         for j, moved in moves.items():
             cap = colors.get(j, 0)
             if not 0 < moved <= cap:
@@ -293,12 +331,18 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 colors[j] = left
             else:
                 del colors[j]   # the state keeps no zero counts
+                mask ^= 1 << j
             target[j] = moved
+            took |= 1 << j
             columns[j] += moved
         if (given := sum(moves.values())) != gives[key[1]]:
             wrong = wrong or f"row {key} gives {given} copies, expected {gives[key[1]]}"
-        if not colors:
-            del state.classes[key], state.live[key]
+        if colors:
+            live[key] = mask
+        else:
+            del state.classes[key], live[key]
+        if level:
+            live[support, level] = took
 
     state.detached += 1
     if wrong is None and tuple(columns) != p.r:

@@ -169,6 +169,35 @@ def random_problem(rng) -> TransportationProblem:
                                  held=list(map(dict, map(zip, colors, caps))))
 
 
+def random_wide_problem(rng) -> TransportationProblem:
+    """1-7 sparse rows over k = 60-600 colors, so color masks span many machine words.
+
+    Each row holds 1-5 colors of a pool of 2-8 drawn from all k, caps 1-3. The
+    supplies and demands are the sums of a random plan within the caps, and one
+    problem in four then shifts a unit of demand to another color of the pool,
+    which may leave it infeasible. Every other problem carries its masks, the
+    rest leave the solver to derive them.
+    """
+    k = rng.randint(60, 600)
+    pool = rng.sample(range(k), rng.randint(2, 8))
+    colors = [sorted(rng.sample(pool, rng.randint(1, min(5, len(pool)))))
+              for _ in range(rng.randint(1, 7))]
+    caps = [[rng.randint(1, 3) for _ in row] for row in colors]
+    plan = [[rng.randint(0, cap) for cap in row] for row in caps]
+    supplies = list(map(sum, plan))
+    demands = [0] * k
+    for row, moved in zip(colors, plan):
+        for j, x in zip(row, moved):
+            demands[j] += x
+    if rng.random() < 0.25 and any(demands):
+        demands[rng.choice([j for j in pool if demands[j]])] -= 1
+        demands[rng.choice(pool)] += 1
+    masks = [sum(1 << j for j in row) for row in colors] if rng.random() < 0.5 else None
+    return TransportationProblem(rows=[((c + 1,), 1) for c in range(len(colors))],
+                                 supplies=supplies, demands=demands,
+                                 held=list(map(dict, map(zip, colors, caps))), masks=masks)
+
+
 class TestBuildTransportation:
     def test_worked_example_problem(self, worked_instance):
         state = ready_state(worked_instance)
@@ -277,7 +306,7 @@ class TestSolveTransportation:
         from hyperfactor import detach
         calls = []
 
-        def stalled_phase(tp, moves, row_left, col_left, holders):
+        def stalled_phase(tp, moves, row_left, col_left, holders, resid, rerouted):
             calls.append(None)   # reaches the sink, pushes no unit
             if len(calls) > 3:
                 raise RuntimeError("the solver repeats a phase that pushes nothing")
@@ -310,9 +339,11 @@ class TestSolveTransportation:
             drawn = random_problem(rng)
         assert drawn == self.PINNED
         source = open(detach_module.__file__, encoding="utf-8").read()
-        arc_test = "row_moves.get(arc[0], 0) < arc[1]"
-        assert source.count(arc_test) == 2   # the DFS keeps a current arc, or scans past it
-        mutant = source.replace(arc_test, arc_test.replace("<", "<="))
+        arc_test = "arcs = resid[u] & colors_at[level[u] + 1]"
+        assert source.count(arc_test) == 1   # the DFS's arcs at a row: its residual mask
+        # The mutant's DFS reads every color the row holds, saturated cells included.
+        mutant = source.replace(arc_test, arc_test.replace(
+            "resid[u]", "sum(map((1).__lshift__, held[u]))"))
         child = textwrap.dedent(f"""
             import importlib.util, sys
             from hyperfactor.errors import InternalInvariantViolation
@@ -350,6 +381,36 @@ class TestSolveTransportation:
             assert got == want, tp
             infeasible += want is None
         assert 0 < infeasible < 2000   # both outcomes are exercised
+
+    def test_matches_the_reference_dinic_on_wide_colors(self, monkeypatch):
+        phases = []
+        real_phase = detach_module._later_phase
+
+        def counted_phase(*args):
+            phases.append(None)
+            return real_phase(*args)
+
+        monkeypatch.setattr(detach_module, "_later_phase", counted_phase)
+        rng = random.Random(2025)
+        infeasible = rerouted_wide = 0
+        for _ in range(400):
+            tp = random_wide_problem(rng)
+            masks = None if tp.masks is None else list(tp.masks)
+            want = reference_moves(tp)
+            del phases[:]
+            try:
+                got = [list(row.items()) for row in solve_transportation(tp).moves]
+            except InternalInvariantViolation as exc:
+                assert str(exc).startswith("max flow "), exc
+                got = None
+            if want is not None:
+                want = [list(row.items()) for row in as_maps(tp, want)]
+            assert got == want, tp
+            assert tp.masks == masks   # the solver copies the masks and never writes them
+            infeasible += want is None
+            rerouted_wide += bool(want and phases and max(map(max, filter(None, tp.held))) >= 64)
+        assert 0 < infeasible < 400
+        assert rerouted_wide >= 100   # later phases rerouting over colors past one machine word
 
     def test_cells_list_nonzero_caps_in_color_order(self):
         params = Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1))
@@ -470,6 +531,29 @@ class TestSparseState:
         assert len(steps) == params.n - params.m and all(steps)
 
 
+    @pytest.mark.parametrize("params", [
+        Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1)),
+        Parameters(n=9, m=3, h=3, lam=2, r=(2,) * 20 + (1,) * 16),
+        Parameters(n=8, m=5, h=4, lam=1, r=(1,) * 35),
+        Parameters(n=70, m=18, h=2, lam=1, r=(1,) * 69),
+    ], ids=["h2", "h3", "h4", "h2-wide"])
+    def test_live_masks_match_their_maps(self, params):
+        def masks_in_step(state, tp=None, plan=None):
+            for key, mask in state.live.items():
+                assert mask == sum(1 << j for j in state.classes[key].colors), key
+
+        state = build_amalgam(random_instance(params, seed=3))
+        masks_in_step(state)
+        for level in range(1, params.h):
+            greedy_color_level(state, level, rng=random.Random(3))
+            masks_in_step(state)
+        assign_level_h(state, finish_levels(state))
+        steps = []
+        detach_all(state, hook=lambda *args: (steps.append(None), masks_in_step(*args)))
+        masks_in_step(state)
+        assert len(steps) == params.n - params.m and not state.live
+
+
 class TestStepChecks:
     """Every step validates the plan it is given and recounts every class."""
 
@@ -540,6 +624,34 @@ class TestStepChecks:
 
         with pytest.raises(InternalInvariantViolation, match=r"^color 2: live classes weigh"):
             detach_step(ready_state(worked_instance), hook=shift_copy)
+
+
+    def test_mask_out_of_step_is_named(self):
+        # Trade one copy the plan leaves behind between two live classes of one
+        # level: every total and color weight holds, but the first class now
+        # holds a color its mask lacks.
+        params = Parameters(n=8, m=3, h=2, lam=2, r=(2,) * 6 + (1, 1))
+        edited = []
+
+        def trade(state, tp, plan):
+            rows = list(zip(tp.rows, tp.held, plan.moves))
+            for (key, held, moves), (other, held2, moves2) in product(rows, rows):
+                if key[1] != other[1] or key == other:
+                    continue
+                a = next((j for j in held if j in held2 and held[j] > 1 + moves.get(j, 0)), None)
+                b = next((j for j in held2 if j not in held and held2[j] > 1 + moves2.get(j, 0)),
+                         None)
+                if a is not None and b is not None:
+                    held[a], held2[a] = held[a] - 1, held2[a] + 1
+                    held2[b], held[b] = held2[b] - 1, 1
+                    edited.append(key)
+                    return
+
+        state = ready_state(random_instance(params, seed=3), seed=3)
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^class \(\(\d+,\), 1\) has color mask") as info:
+            detach_all(state, hook=trade)
+        assert edited and str(info.value).startswith(f"class {edited[0]} has color mask")
 
 
 def small_cells() -> list[Parameters]:

@@ -3,13 +3,16 @@
 Usage, from the root of a source checkout:
 
     python3 tools/ab.py BASE CHANGE [--workload W]... [--seed S]... [--rounds N] [--label L]
-    python3 tools/ab.py HEAD . --workload sweep_small --rounds 2 --label ci
+    python3 tools/ab.py HEAD . --workload sweep_small --workload h2_dense --rounds 2 --label ci
 
 BASE and CHANGE are each a git revision of this checkout, whose
 ``src/hyperfactor`` is exported with ``git archive``, or the path of a
 checkout, whose ``src/hyperfactor`` loads as it stands, uncommitted edits
-included. Both packages load into this one process under two names. The
-package imports itself only relatively, so the two copies never meet.
+included. Each workload and seed runs in a fresh child process of its own,
+one at a time, so that no workload's op times depend on what an earlier one
+left in the process. Both packages load into that child under two names. The
+package imports itself only relatively, so the two copies never meet. The
+parent prints each result as its child ends and merges them into one file.
 
 Each workload's cases come from ``perfbench/workloads.py``, which is only
 read. BASE generates each instance once, so both sides read the same files.
@@ -43,6 +46,7 @@ import importlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -50,6 +54,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -228,6 +233,17 @@ def compare(clis: dict, workloads, name: str, seed: int, rounds: int, work: Path
     return record
 
 
+def run_child(packages: dict[str, str], name: str, seed: int, rounds: int,
+              work: str) -> tuple[dict, list[str]]:
+    """One workload at one seed, in a child process: its record and its failures."""
+    clis = {side: load(f"hyperfactor_{side}", Path(package)).cli
+            for side, package in packages.items()}
+    workloads = load_workloads("hyperfactor_base")
+    failures: list[str] = []
+    record = compare(clis, workloads, name, seed, rounds, Path(work), failures)
+    return record, failures
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision or checkout path of the parent")
@@ -249,23 +265,27 @@ def main(argv=None) -> int:
     os.environ.pop("HYPERFACTOR_SEED", None)   # the CLI reads a default seed from it; ops must not
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as scratch:
-        sides, clis = {}, {}
+        sides, packages = {}, {}
         for side, spec in zip(SIDES, (args.base, args.change)):
             package, sides[side] = export(spec, Path(scratch), side)
-            clis[side] = load(f"hyperfactor_{side}", package).cli
-        workloads = load_workloads("hyperfactor_base")
+            packages[side] = str(package)
         results = []
+        spawn = multiprocessing.get_context("spawn")
         for name in args.workload or WORKLOAD_NAMES:
             for seed in args.seed or [1]:
                 work = Path(scratch) / f"work-{name}-{seed}"
                 work.mkdir()
-                record = compare(clis, workloads, name, seed, args.rounds, work, failures)
+                # a pool of one, made anew: a fresh process, and a child that dies raises here
+                with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                    record, found = pool.submit(
+                        run_child, packages, name, seed, args.rounds, str(work)).result()
+                failures += found
                 results.append(record)
                 for op, stats in record["ops"].items():
                     print(f"{name} seed {seed} {op:<6} base {stats['base']['median']:.6f} s  "
                           f"change {stats['change']['median']:.6f} s  "
                           f"{stats['change_vs_base']:+.1%}  change faster in "
-                          f"{stats['change_wins']} of {args.rounds}")
+                          f"{stats['change_wins']} of {args.rounds}", flush=True)
     for line in failures[:MAX_PRINTED_FAILURES]:
         print(f"ab: {line}", file=sys.stderr)
     if len(failures) > MAX_PRINTED_FAILURES:
