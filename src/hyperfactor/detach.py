@@ -237,9 +237,9 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     by row), picking a row's arc the same way by the same argument (see
     ``_later_phase``), so every push is the generic Dinic's. A row left short
     raises InternalInvariantViolation naming it, as does a later phase, or a
-    path in one, that pushes no unit. The rows read ``tp.held`` in place; the
-    plan is each row's map of moves, sorted by color only if a later phase
-    added to it.
+    path in one, that pushes no unit, or a row whose mask names a color its
+    map lacks. The rows read ``tp.held`` in place; the plan is each row's map
+    of moves, sorted by color only if a later phase added to it.
     """
     row_left, col_left = list(tp.supplies), list(tp.demands)
     resid = (list(tp.masks) if tp.masks is not None
@@ -247,27 +247,34 @@ def solve_transportation(tp: TransportationProblem) -> DetachPlan:
     open_colors = sum(1 << j for j, left in enumerate(col_left) if left)
     moves: list[dict[int, int]] = [{} for _ in tp.held]
     holders: list[set[int]] = [set() for _ in col_left]
-    for r, (held, row_moves) in enumerate(zip(tp.held, moves)):
-        left, arcs = row_left[r], resid[r] & open_colors
-        while left and arcs:
-            bit = arcs & -arcs
-            arcs ^= bit
-            j = bit.bit_length() - 1
-            cap = held[j]
-            pushed = row_moves[j] = min(left, cap, col_left[j])
-            left -= pushed
-            col_left[j] -= pushed
-            if not col_left[j]:
-                open_colors ^= bit
-            if pushed == cap:
-                resid[r] ^= bit
-            holders[j].add(r)
-        row_left[r] = left
-    rerouted: set[int] = set()
-    unplaced, stalled = sum(row_left), False
-    while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders,
-                                                    resid, rerouted):
-        stalled, unplaced = sum(row_left) == unplaced, sum(row_left)
+    try:   # a mask bit whose color the row's map lacks ends in a KeyError
+        for r, (held, row_moves) in enumerate(zip(tp.held, moves)):
+            left, arcs = row_left[r], resid[r] & open_colors
+            while left and arcs:
+                bit = arcs & -arcs
+                arcs ^= bit
+                j = bit.bit_length() - 1
+                cap = held[j]
+                pushed = row_moves[j] = min(left, cap, col_left[j])
+                left -= pushed
+                col_left[j] -= pushed
+                if not col_left[j]:
+                    open_colors ^= bit
+                if pushed == cap:
+                    resid[r] ^= bit
+                holders[j].add(r)
+            row_left[r] = left
+        rerouted: set[int] = set()
+        unplaced, stalled = sum(row_left), False
+        while unplaced and not stalled and _later_phase(tp, moves, row_left, col_left, holders,
+                                                        resid, rerouted):
+            stalled, unplaced = sum(row_left) == unplaced, sum(row_left)
+    except KeyError:
+        for key, mask, held in zip(tp.rows, tp.masks or (), tp.held):
+            if mask & ~(holds := sum(map((1).__lshift__, held))):
+                raise InternalInvariantViolation(
+                    f"row {key} has color mask {mask:#x}, but holds colors {holds:#x}") from None
+        raise
     short = next((r for r, left in enumerate(row_left) if left), None)
     if short is not None:
         want = sum(tp.supplies)
@@ -331,7 +338,7 @@ def detach_step(state: AmalgamState, hook=None) -> AmalgamState:
                 colors[j] = left
             else:
                 del colors[j]   # the state keeps no zero counts
-                mask ^= 1 << j
+                mask &= ~(1 << j)
             target[j] = moved
             took |= 1 << j
             columns[j] += moved

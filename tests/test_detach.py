@@ -286,6 +286,18 @@ class TestSolveTransportation:
                            match=r"^max flow 0 < required 1; row \(\(\), 1\) short by 1$"):
             solve_transportation(tp)
 
+    @pytest.mark.parametrize("held, supplies, demands", [
+        ([{0: 1}], [1], [0, 1]),                   # the greedy takes color 2
+        ([{0: 1}, {0: 1}], [1, 1], [1, 1]),        # a later phase reroutes to color 2
+    ], ids=["greedy", "later-phase"])
+    def test_mask_bit_without_its_cell_is_named(self, held, supplies, demands):
+        # Row ((1,), 1)'s mask claims color 2, which its map lacks.
+        tp = TransportationProblem(rows=[((1,), 1), ((2,), 1)][:len(held)], supplies=supplies,
+                                   demands=demands, held=held, masks=[0b11, 0b01][:len(held)])
+        with pytest.raises(InternalInvariantViolation,
+                           match=r"^row \(\(1,\), 1\) has color mask 0x3, but holds colors 0x1$"):
+            solve_transportation(tp)
+
     def test_reverse_arc_augmentation(self):
         # The first blocking flow fills color 1 from rows 0 and 1, which
         # leaves row 2 (color 1 only) stuck; the second phase reroutes row 0
